@@ -8,7 +8,7 @@ for candidate blocks and a certified upper bound instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np

@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--depth", type=int, default=8)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)
 

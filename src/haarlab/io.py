@@ -8,10 +8,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .martingale import StepFunction
 from .measure import MeasureError, MeasureTree
 from .shift import CanonicalShift, GeneralShift, Shift, ShiftError, ShiftShape, petermichl
-from .tree import Node, node_from_key
+from .tree import Node, heap_nodes, heap_positions, node_from_key
 
 
 class FormatError(ValueError):
@@ -62,15 +64,32 @@ def shift_to_json(T: Shift) -> dict:
             "t": T.t_sel,
             "alphas": {str(node): a for node, a in sorted(T.alphas.items())},
         }
+    q_keys, r_keys, s_keys = (
+        list(map("{},{}".format, *heap_nodes(pos)))
+        for pos in (T._r_pos >> T.shape.r, T._r_pos, T._s_pos)
+    )
     return {
         "kind": "general",
         "r": T.shape.r,
         "s": T.shape.s,
         "terms": [
-            {"Q": str(q), "R": str(r), "S": str(s), "alpha": a}
-            for q, r, s, a in T.terms
+            {"Q": q, "R": r, "S": s, "alpha": a}
+            for q, r, s, a in zip(q_keys, r_keys, s_keys, T._alpha.tolist())
         ],
     }
+
+
+def _key_positions(keys: list[str], depth: int) -> np.ndarray:
+    """Heap positions of "level,index" keys, parsed straight into int64."""
+
+    def numbers():
+        for key in keys:
+            level, index = str.split(key, ",")
+            yield int(level)
+            yield int(index)
+
+    kj = np.fromiter(numbers(), dtype=np.int64, count=2 * len(keys)).reshape(-1, 2)
+    return heap_positions(kj[:, 0], kj[:, 1], depth)
 
 
 def shift_from_json(obj: dict, depth: int) -> Shift:
@@ -86,18 +105,15 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
                 depth, int(obj["m"]), int(obj["s"]), int(obj["n"]), int(obj["t"]), alphas
             )
         if kind == "general":
-            terms = [
-                (
-                    node_from_key(t["Q"]),
-                    node_from_key(t["R"]),
-                    node_from_key(t["S"]),
-                    float(t["alpha"]),
-                )
-                for t in obj.get("terms", [])
-            ]
-            return GeneralShift(depth, ShiftShape(int(obj["r"]), int(obj["s"])), terms)
+            terms = obj.get("terms", [])
+            q, r, s = (_key_positions([t[k] for t in terms], depth) for k in "QRS")
+            alpha = np.fromiter(
+                (float(t["alpha"]) for t in terms), dtype=np.float64, count=len(terms)
+            )
+            shape = ShiftShape(int(obj["r"]), int(obj["s"]))
+            return GeneralShift.from_heap(depth, shape, q, r, s, alpha)
         raise FormatError(f"unknown shift kind {kind!r}")
-    except (KeyError, TypeError, ValueError, ShiftError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"malformed shift file: {exc}") from exc

@@ -6,7 +6,7 @@ no dense inner products are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from .martingale import HaarSpectrum, StepFunction, analyze, synthesize
 from .measure import MeasureTree
-from .tree import DyadicTree, Node, TreeError
+from .tree import Node, TreeError, heap_nodes, heap_positions
 
 
 class ShiftError(ValueError):
@@ -30,39 +30,89 @@ class ShiftShape:
             raise ShiftError(f"complexity must be non-negative, got {self}")
 
 
+def _nodes(pos: np.ndarray) -> list[Node]:
+    return list(map(Node, *heap_nodes(pos)))
+
+
+def _positions(nodes, depth: int) -> np.ndarray:
+    levels, indices = list(zip(*nodes, strict=True)) or ((), ())
+    return heap_positions(levels, indices, depth)
+
+
+def _check_alpha(alpha: np.ndarray) -> None:
+    bad = ~(np.abs(alpha) <= 1.0 + 1e-15)  # true for NaN as well
+    if bad.any():
+        raise ShiftError(f"|alpha| must be finite and <= 1, got {alpha[bad][0]}")
+
+
+def _check_in_tree(depth: int, pos: np.ndarray) -> None:
+    bad = (pos < 1) | (pos >= 2 << depth)
+    if bad.any():
+        raise TreeError(f"node outside tree of depth {depth} (heap position {pos[bad][0]})")
+
+
 class GeneralShift:
     """A finite collection of terms (Q, R, S, alpha) with R in D_r(Q), S in D_s(Q).
 
+    Terms are stored only as heap-position arrays: term i maps the Haar
+    coefficient at `_r_pos[i]` to `_s_pos[i]` with weight `_alpha[i]`.  The
+    node (k, j) sits at heap position 2**k + j, so Q = r_pos >> r = s_pos >> s.
     Terms whose R or S sits at leaf level carry no Haar function and are
     dropped at construction; `dropped` records how many.
     """
 
     def __init__(self, depth: int, shape: ShiftShape, terms) -> None:
+        """Build from (Q, R, S, alpha) tuples with (level, index) nodes."""
+        q, r, s, alpha = list(zip(*terms, strict=True)) or ((),) * 4
+        self._store(
+            depth, shape, _positions(q, depth), _positions(r, depth), _positions(s, depth), alpha
+        )
+
+    @classmethod
+    def from_heap(
+        cls, depth: int, shape: ShiftShape, q_pos, r_pos, s_pos, alpha
+    ) -> "GeneralShift":
+        """Build from heap-position arrays for Q, R and S and an alpha array."""
+        T = cls.__new__(cls)
+        T._store(depth, shape, q_pos, r_pos, s_pos, alpha)
+        return T
+
+    def _store(self, depth: int, shape: ShiftShape, q_pos, r_pos, s_pos, alpha) -> None:
+        """Validate whole term arrays with bit arithmetic and keep the
+        non-leaf terms; every constructor ends here."""
         if depth < 1:
             raise ShiftError(f"depth must be >= 1, got {depth}")
-        tree = DyadicTree(depth)
-        kept: list[tuple[Node, Node, Node, float]] = []
-        dropped = 0
-        for q, r_node, s_node, alpha in terms:
-            q, r_node, s_node = Node(*q), Node(*r_node), Node(*s_node)
-            tree.check(q)
-            if tree.ancestor(r_node, shape.r) != q:
-                raise ShiftError(f"R={r_node} is not a depth-{shape.r} descendant of Q={q}")
-            if tree.ancestor(s_node, shape.s) != q:
-                raise ShiftError(f"S={s_node} is not a depth-{shape.s} descendant of Q={q}")
-            if abs(alpha) > 1.0 + 1e-15:
-                raise ShiftError(f"|alpha| must be <= 1, got {alpha}")
-            if r_node.level >= depth or s_node.level >= depth:
-                dropped += 1
-                continue
-            kept.append((q, r_node, s_node, float(alpha)))
+        q_pos, r_pos, s_pos = (np.asarray(p, dtype=np.int64) for p in (q_pos, r_pos, s_pos))
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if not (q_pos.ndim == 1 and q_pos.shape == r_pos.shape == s_pos.shape == alpha.shape):
+            raise ShiftError("Q, R, S and alpha must be 1-d arrays of one length")
+        for pos in (q_pos, r_pos, s_pos):
+            _check_in_tree(depth, pos)
+        for name, pos, height in (("R", r_pos, shape.r), ("S", s_pos, shape.s)):
+            above = pos >> height
+            if not above.all():
+                raise TreeError(f"{name} lies fewer than {height} levels below the root")
+            bad = above != q_pos
+            if bad.any():
+                i = np.argmax(bad)
+                node, q = _nodes(np.array([pos[i], q_pos[i]]))
+                raise ShiftError(f"{name}={node} is not a depth-{height} descendant of Q={q}")
+        _check_alpha(alpha)
+        keep = (r_pos < 1 << depth) & (s_pos < 1 << depth)
         self.depth = depth
         self.shape = shape
-        self.terms = tuple(kept)
-        self.dropped = dropped
-        self._r_pos = np.array([tree.heap(t[1]) for t in kept], dtype=np.int64)
-        self._s_pos = np.array([tree.heap(t[2]) for t in kept], dtype=np.int64)
-        self._alpha = np.array([t[3] for t in kept], dtype=np.float64)
+        self.dropped = int(np.count_nonzero(~keep))
+        self._r_pos = r_pos[keep]
+        self._s_pos = s_pos[keep]
+        self._alpha = alpha[keep]
+
+    @property
+    def terms(self) -> tuple[tuple[Node, Node, Node, float], ...]:
+        """The kept terms as (Q, R, S, alpha) node tuples, read from the arrays."""
+        return tuple(zip(
+            _nodes(self._r_pos >> self.shape.r), _nodes(self._r_pos), _nodes(self._s_pos),
+            self._alpha.tolist(),
+        ))
 
     def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
         if spec.depth != self.depth:
@@ -73,10 +123,9 @@ class GeneralShift:
 
     def adjoint(self) -> "GeneralShift":
         """Swap input and output Haar indices; satisfies <Tf, g> = <f, T*g>."""
-        return GeneralShift(
-            self.depth,
-            ShiftShape(self.shape.s, self.shape.r),
-            [(q, s_node, r_node, a) for q, r_node, s_node, a in self.terms],
+        return GeneralShift.from_heap(
+            self.depth, ShiftShape(self.shape.s, self.shape.r),
+            self._r_pos >> self.shape.r, self._s_pos, self._r_pos, self._alpha,
         )
 
 
@@ -84,15 +133,11 @@ def petermichl(depth: int) -> GeneralShift:
     """The dyadic Hilbert transform: h_I maps to h_{I-} - h_{I+}."""
     if depth < 2:
         raise ShiftError(f"the dyadic Hilbert transform needs depth >= 2, got {depth}")
-    tree = DyadicTree(depth)
-    terms = []
-    for k in range(depth - 1):
-        for j in range(1 << k):
-            q = Node(k, j)
-            left, right = tree.children(q)
-            terms.append((q, q, left, 1.0))
-            terms.append((q, q, right, -1.0))
-    return GeneralShift(depth, ShiftShape(0, 1), terms)
+    internal = np.arange(1, 1 << (depth - 1))  # every Q above the last internal level
+    q = np.repeat(internal, 2)
+    children = np.arange(2, 1 << depth)  # 2q and 2q + 1, interleaved
+    alpha = np.tile([1.0, -1.0], len(internal))
+    return GeneralShift.from_heap(depth, ShiftShape(0, 1), q, q, children, alpha)
 
 
 @dataclass
@@ -100,7 +145,8 @@ class CanonicalShift:
     """Single-selector form: one input selector (m, s_sel) and one output
     selector (n, t_sel), with a sparse per-node coefficient map.
 
-    Absent nodes in `alphas` carry coefficient zero.
+    Absent nodes in `alphas` carry coefficient zero.  The general form puts
+    R at heap position (q << m) + s_sel and S at (q << n) + t_sel.
     """
 
     depth: int
@@ -117,14 +163,13 @@ class CanonicalShift:
             raise ShiftError(f"input selector {self.s_sel} out of range for m={self.m}")
         if not (0 <= self.t_sel < (1 << self.n)):
             raise ShiftError(f"output selector {self.t_sel} out of range for n={self.n}")
-        tree = DyadicTree(self.depth)
-        clean = {}
-        for node, a in self.alphas.items():
-            node = tree.check(Node(*node))
-            if abs(a) > 1.0 + 1e-15:
-                raise ShiftError(f"|alpha| must be <= 1, got {a} at {node}")
-            clean[node] = float(a)
-        self.alphas = clean
+        if self.depth < 1:
+            raise TreeError(f"depth must be >= 1, got {self.depth}")
+        pos = _positions(self.alphas, self.depth)
+        alpha = np.fromiter(self.alphas.values(), dtype=np.float64, count=len(pos))
+        _check_in_tree(self.depth, pos)
+        _check_alpha(alpha)
+        self.alphas = dict(zip(_nodes(pos), alpha.tolist()))
         self.shape = ShiftShape(self.m, self.n)
         self._general: GeneralShift | None = None
 
@@ -132,17 +177,15 @@ class CanonicalShift:
         """Lossless embedding into the general term form (cached)."""
         if self._general is not None:
             return self._general
-        tree = DyadicTree(self.depth)
-        cutoff = self.depth - 1 - max(self.m, self.n)
-        terms = []
-        for q, a in sorted(self.alphas.items()):
-            if q.level > cutoff:
-                continue
-            terms.append(
-                (q, tree.descendant(q, self.m, self.s_sel),
-                 tree.descendant(q, self.n, self.t_sel), a)
-            )
-        self._general = GeneralShift(self.depth, self.shape, terms)
+        nodes = sorted(self.alphas)  # heap order
+        q = _positions(nodes, self.depth)
+        alpha = np.fromiter(map(self.alphas.get, nodes), dtype=np.float64, count=len(nodes))
+        # keep Q whose selected descendants both sit above the leaves
+        keep = q < 1 << max(self.depth - max(self.m, self.n), 0)
+        q, alpha = q[keep], alpha[keep]
+        self._general = GeneralShift.from_heap(
+            self.depth, self.shape, q, (q << self.m) + self.s_sel, (q << self.n) + self.t_sel, alpha
+        )
         return self._general
 
     def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
@@ -154,12 +197,7 @@ class CanonicalShift:
 
 def dense_alphas(depth: int, m: int, n: int, value: float = 1.0) -> dict[Node, float]:
     """Coefficient map with the same alpha on every admissible node."""
-    cutoff = depth - 1 - max(m, n)
-    out = {}
-    for k in range(cutoff + 1):
-        for j in range(1 << k):
-            out[Node(k, j)] = value
-    return out
+    return dict.fromkeys(_nodes(np.arange(1, 1 << max(depth - max(m, n), 0))), value)
 
 
 Shift = GeneralShift | CanonicalShift

@@ -16,9 +16,8 @@ import numpy as np
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
 from .martingale import StepFunction, haar_function
 from .measure import MeasureTree, generate
-from .norms import NormSpec, bmo_martingale, h1_norm, haar_lambda2_norm, lambda_norm, lp_norm
-from .opnorm import _ratio
-from .shift import CanonicalShift, GeneralShift, Shift, apply_shift, dense_alphas, petermichl
+from .norms import NormSpec, h1_norm, haar_lambda2_norm, lambda_norm, lp_norm
+from .shift import CanonicalShift, Shift, apply_shift, dense_alphas, petermichl
 from .tree import Node
 
 

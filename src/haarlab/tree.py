@@ -172,3 +172,25 @@ def leaf_broadcast(depth: int, level_values: np.ndarray, level: int) -> np.ndarr
     if level_values.shape != (1 << level,):
         raise TreeError("level_values length does not match level")
     return np.repeat(level_values, 1 << (depth - level))
+
+
+def heap_positions(levels, indices, depth: int) -> np.ndarray:
+    """Array form of `DyadicTree.heap`: positions 2**k + j of nodes (k, j).
+
+    A node outside the depth-`depth` tree maps to position 0, which no node
+    occupies, so callers validate positions in one place.
+    """
+    k, j = np.asarray(levels), np.asarray(indices)
+    if any(a.size and a.dtype.kind not in "iu" for a in (k, j)):
+        raise TreeError("node addresses must be integers that fit in int64")
+    k, j = k.astype(np.int64), j.astype(np.int64)
+    inside = (k >= 0) & (k <= depth)
+    width = 1 << np.where(inside, k, 0)
+    return np.where(inside & (j >= 0) & (j < width), width + j, 0)
+
+
+def heap_nodes(pos: np.ndarray) -> tuple[list[int], list[int]]:
+    """Array form of `DyadicTree.node_at`: the levels and indices of heap
+    positions.  The level is frexp(pos)[1] - 1, exact below 2**53."""
+    level = np.frexp(pos)[1].astype(np.int64) - 1
+    return level.tolist(), (pos - (1 << level)).tolist()

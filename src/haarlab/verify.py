@@ -19,7 +19,7 @@ from .martingale import (
     square_function_martingale,
     synthesize,
 )
-from .measure import MeasureTree, lebesgue, random_doubling
+from .measure import random_doubling
 from .norms import (
     haar_lambda2_norm,
     inner_product,
@@ -30,7 +30,6 @@ from .norms import (
 from .opnorm import l2_opnorm
 from .shift import apply_shift, petermichl
 from .studies import theorem_suite
-from .tree import Node
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,40 @@ def test_shift_roundtrips(tmp_path, mu):
     assert isinstance(hio.load_shift(path, mu.depth), GeneralShift)
 
 
+def test_general_shift_file_is_stable(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    T = petermichl(6).adjoint()
+    hio.save_shift(T, first)
+    again = hio.load_shift(first, 6)
+    assert again.terms == T.terms
+    hio.save_shift(again, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _general_file(path, **override):
+    term = {"Q": "1,0", "R": "1,0", "S": "2,1", "alpha": -1.0, **override}
+    path.write_text(json.dumps({"kind": "general", "r": 0, "s": 1, "terms": [term]}))
+    return path
+
+
+BAD_GENERAL_TERMS = [
+    {"Q": "1,2,3"},
+    {"R": "x,1"},
+    {"S": "1"},
+    {"Q": "1,1"},  # not R's 0-th ancestor
+    {"Q": 7},
+    {"alpha": float("nan")},
+]
+
+
+@pytest.mark.parametrize("override", BAD_GENERAL_TERMS)
+def test_general_shift_format_errors(tmp_path, override):
+    _general_file(tmp_path / "ok.json")
+    assert isinstance(hio.load_shift(tmp_path / "ok.json", 3), GeneralShift)
+    with pytest.raises(hio.FormatError):
+        hio.load_shift(_general_file(tmp_path / "bad.json", **override), 3)
+
+
 def test_format_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -198,6 +232,14 @@ def test_cli_apply(tmp_path):
         )
         == 2
     )
+    # so is a general shift file with a malformed or non-finite term
+    for override in BAD_GENERAL_TERMS:
+        _general_file(shift_path, **override)
+        code = main(
+            ["apply", "--shift", str(shift_path), "--function", str(f_path),
+             "--measure", str(mu_path), "--out", str(out_path)]
+        )
+        assert code == 2, override
 
 
 def test_cli_study_blowup(tmp_path):
@@ -251,3 +293,10 @@ def test_cli_verify(tmp_path, capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
     payload = json.loads(out.read_text())
     assert all(entry["passed"] for entry in payload)
+
+
+def test_cli_verify_rejects_tol():
+    # --tol was accepted and ignored; it is no longer a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--depth", "4", "--tol", "1e-9"])
+    assert exc.value.code == 2

@@ -16,7 +16,7 @@ from haarlab.shift import (
     haar_matrix,
     petermichl,
 )
-from haarlab.tree import Node, TreeError
+from haarlab.tree import DyadicTree, Node, TreeError
 
 
 @pytest.fixture
@@ -38,6 +38,9 @@ def test_term_membership_validation():
         # alpha out of range
         GeneralShift(3, ShiftShape(0, 0), [(Node(0, 0), Node(0, 0), Node(0, 0), 2.0)])
     with pytest.raises(ShiftError):
+        # non-finite alpha
+        GeneralShift(3, ShiftShape(0, 0), [(Node(0, 0), Node(0, 0), Node(0, 0), np.nan)])
+    with pytest.raises(ShiftError):
         GeneralShift(0, ShiftShape(0, 0), [])
 
 
@@ -52,6 +55,8 @@ def test_leaf_level_terms_dropped():
     )
     assert len(T.terms) == 1
     assert T.dropped == 1
+    H = GeneralShift.from_heap(2, ShiftShape(0, 1), [1, 2], [1, 2], [2, 4], [1.0, 1.0])
+    assert H.terms == T.terms and H.dropped == 1
 
 
 def test_petermichl_action_on_haar(mu):
@@ -114,12 +119,15 @@ def test_canonical_validation():
         CanonicalShift(4, 0, 0, 0, 0, {Node(0, 0): 1.5})
     with pytest.raises(TreeError):
         CanonicalShift(4, 0, 0, 0, 0, {Node(5, 0): 1.0})
+    with pytest.raises(ShiftError):
+        CanonicalShift(4, 0, 0, 0, 0, {Node(0, 0): np.nan})
 
 
 def test_dense_alphas_respects_cutoff():
     alphas = dense_alphas(4, 1, 2, 1.0)
     # max(m, n) = 2, so nodes above level 4 - 1 - 2 = 1 are excluded
     assert max(node.level for node in alphas) == 1
+    assert list(alphas) == [Node(k, j) for k in range(2) for j in range(1 << k)]
     assert all(a == 1.0 for a in alphas.values())
 
 
@@ -153,3 +161,84 @@ def test_spectrum_depth_mismatch(mu):
     f = StepFunction(mu.depth, np.ones(16))
     with pytest.raises(ShiftError):
         T.apply_spectrum(analyze(f, mu))
+
+
+# --- reference: the term-by-term tuple path ------------------------------
+
+
+def _reference_petermichl(depth):
+    tree = DyadicTree(depth)
+    terms = []
+    for k in range(depth - 1):
+        for j in range(1 << k):
+            q = Node(k, j)
+            left, right = tree.children(q)
+            terms += [(q, q, left, 1.0), (q, q, right, -1.0)]
+    return GeneralShift(depth, ShiftShape(0, 1), terms)
+
+
+def _reference_to_general(C):
+    tree = DyadicTree(C.depth)
+    cutoff = C.depth - 1 - max(C.m, C.n)
+    terms = [
+        (q, tree.descendant(q, C.m, C.s_sel), tree.descendant(q, C.n, C.t_sel), a)
+        for q, a in sorted(C.alphas.items())
+        if q.level <= cutoff
+    ]
+    return GeneralShift(C.depth, C.shape, terms)
+
+
+def _assert_same(T, ref):
+    assert (T.depth, T.shape, T.dropped) == (ref.depth, ref.shape, ref.dropped)
+    assert np.array_equal(T._r_pos, ref._r_pos)
+    assert np.array_equal(T._s_pos, ref._s_pos)
+    assert np.array_equal(T._alpha, ref._alpha)
+    assert T.terms == ref.terms
+
+
+@pytest.mark.parametrize("depth", range(2, 8))
+def test_array_constructors_match_tuple_reference(depth):
+    ref = _reference_petermichl(depth)
+    _assert_same(petermichl(depth), ref)
+    adjoint_terms = [(q, s, r, a) for q, r, s, a in ref.terms]
+    _assert_same(
+        petermichl(depth).adjoint(), GeneralShift(depth, ShiftShape(1, 0), adjoint_terms)
+    )
+    rng = np.random.default_rng(depth)
+    for m in range(3):
+        for n in range(3):
+            alphas = dense_alphas(depth, m, n, 1.0)
+            alphas = dict(zip(alphas, rng.uniform(-1.0, 1.0, len(alphas))))
+            for s_sel in range(1 << m):
+                for t_sel in range(1 << n):
+                    C = CanonicalShift(depth, m, s_sel, n, t_sel, alphas)
+                    _assert_same(C.to_general(), _reference_to_general(C))
+
+
+@pytest.mark.parametrize(
+    "depth, shape, term, error",
+    [
+        (3, (0, 0), ((4, 0), (4, 0), (4, 0), 1.0), TreeError),  # Q below the leaves
+        (3, (0, 0), ((1, 2), (1, 2), (1, 2), 1.0), TreeError),  # index past the level
+        (3, (1, 0), ((0, 0), (1, -1), (0, 0), 1.0), TreeError),  # R outside
+        (3, (0, 1), ((0, 0), (0, 0), (4, 0), 1.0), TreeError),  # S outside
+        (3, (1, 0), ((0, 0), (0, 0), (0, 0), 1.0), TreeError),  # R above the root
+        (3, (1, 0), ((1, 0), (2, 2), (1, 0), 1.0), ShiftError),  # R not under Q
+        (3, (0, 1), ((1, 0), (1, 0), (2, 3), 1.0), ShiftError),  # S not under Q
+        (3, (0, 0), ((0, 0), (0, 0), (0, 0), -1.5), ShiftError),  # |alpha| > 1
+        (3, (0, 0), ((0, 0), (0, 0), (0, 0), np.inf), ShiftError),
+        (0, (0, 0), ((0, 0), (0, 0), (0, 0), 1.0), ShiftError),  # depth < 1
+        (-1, (0, 0), ((0, 0), (0, 0), (0, 0), 1.0), ShiftError),
+    ],
+)
+def test_bad_terms_raise_reference_errors(depth, shape, term, error):
+    with pytest.raises(error):
+        GeneralShift(depth, ShiftShape(*shape), [term])
+
+
+def test_from_heap_rejects_positions_outside_tree():
+    for pos in (0, 16):
+        with pytest.raises(TreeError):
+            GeneralShift.from_heap(3, ShiftShape(0, 0), [pos], [pos], [pos], [1.0])
+    with pytest.raises(ShiftError):
+        GeneralShift.from_heap(3, ShiftShape(0, 1), [1, 1], [1, 1], [2], [1.0, 1.0])
