@@ -19,16 +19,8 @@ import numpy as np
 
 from . import io as hio
 from .atomic import atb_upper_bound
-from .measure import MeasureError, generate
-from .norms import (
-    NormError,
-    bmo_martingale,
-    bmo_oscillation,
-    h1_norm,
-    lambda_norm,
-    lp_norm,
-    weak_l1,
-)
+from .measure import MeasureError, family_params, generate
+from .norms import NORMS, NormError, NormSpec
 from .shift import ShiftError, apply_shift
 from .studies import blowup_study, rows_to_csv, theorem_suite, THEOREM_NAMES
 from .tree import TreeError
@@ -66,18 +58,31 @@ def _emit(payload: str, out: str | None, config: dict) -> None:
         _write_manifest(out, config)
 
 
-def _family_from_args(kind: str, args) -> dict:
-    fam: dict = {"kind": kind}
-    if kind == "geometric_unbalanced" and args.q is not None:
-        fam["q"] = args.q
-    if kind == "spine" and args.M is not None:
-        fam["M"] = args.M
-    if kind == "random_doubling":
-        if args.p_min is not None:
-            fam["p_min"] = args.p_min
-        if args.p_max is not None:
-            fam["p_max"] = args.p_max
-    return fam
+# family flags of `measure gen` and `study`, by argparse dest
+FAMILY_FLAGS = ("q", "M", "p_min", "p_max")
+# norm flags of `haarlab norm`: every parameter some table norm takes
+NORM_FLAGS = tuple(dict.fromkeys(k for entry in NORMS.values() for k in entry.params))
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _families_from_args(kinds: list[str], args) -> list[dict]:
+    """One family per kind, each given the family flags it takes; a flag
+    that no kind takes is a parameter error."""
+    takes = {kind: family_params(kind) for kind in kinds}
+    given = {k: getattr(args, k) for k in FAMILY_FLAGS if getattr(args, k) is not None}
+    unused = [k for k in given if not any(k in t for t in takes.values())]
+    if unused:
+        raise CliError(
+            EXIT_PARAM,
+            f"{', '.join(map(_flag, unused))} not taken by family {', '.join(kinds)}",
+        )
+    return [
+        {"kind": kind} | {k: v for k, v in given.items() if k in takes[kind]}
+        for kind in kinds
+    ]
 
 
 def _parse_depths(spec: str) -> list[int]:
@@ -96,9 +101,9 @@ def _parse_depths(spec: str) -> list[int]:
 def cmd_measure(args) -> int:
     if args.action == "gen":
         try:
-            fam = _family_from_args(args.kind, args)
+            [fam] = _families_from_args([args.kind], args)
             mu = generate(depth=args.depth, seed=args.seed, **fam)
-        except (MeasureError, TypeError) as exc:
+        except MeasureError as exc:
             raise CliError(EXIT_INPUT, f"invalid measure spec: {exc}")
         rep = mu.balanced_constant()
         if args.out:
@@ -144,29 +149,22 @@ def _load_function(path, mu):
 def cmd_norm(args) -> int:
     mu = _load_measure(args.measure)
     f = _load_function(args.function, mu)
-    params: dict = {}
-    witness = None
+    name = args.norm.replace("-", "_")
+    takes = NORMS[name].params if name in NORMS else ()  # atb-upper takes none
+    given = {k: getattr(args, k) for k in NORM_FLAGS if getattr(args, k) is not None}
+    unused = [k for k in given if k not in takes]
+    if unused:
+        raise CliError(
+            EXIT_PARAM, f"{', '.join(map(_flag, unused))} not taken by --norm {args.norm}"
+        )
     try:
-        if args.norm == "lp":
-            params = {"p": args.p}
-            value = lp_norm(f, mu, args.p)
-        elif args.norm == "weak-l1":
-            value = weak_l1(f, mu)
-        elif args.norm == "bmo":
-            value = bmo_martingale(f, mu)
-        elif args.norm == "bmo-osc":
-            value = bmo_oscillation(f, mu)
-        elif args.norm == "lambda":
-            params = {"q": args.q, "alpha": args.alpha}
-            res = lambda_norm(f, mu, args.q, args.alpha)
-            value, witness = res.value, res.witness_node
-        elif args.norm == "h1":
-            value = h1_norm(f, mu)
-        elif args.norm == "atb-upper":
-            value = atb_upper_bound(f, mu)
+        if args.norm == "atb-upper":
+            params, value, witness = {}, atb_upper_bound(f, mu), None
         else:
-            raise CliError(EXIT_PARAM, f"unknown norm {args.norm!r}")
-    except (NormError, TypeError) as exc:
+            spec = NormSpec(name, **given)
+            res = spec.evaluate(f, mu)
+            params, value, witness = spec.params(), res.value, res.witness_node
+    except NormError as exc:
         raise CliError(EXIT_PARAM, f"invalid norm parameters: {exc}")
     report = hio.norm_report(args.norm, params, value, witness)
     _emit(json.dumps(report) + "\n", args.out, vars(args) | {"command": "norm"})
@@ -192,8 +190,10 @@ def cmd_apply(args) -> int:
 def cmd_study(args) -> int:
     depths = _parse_depths(args.depths)
     kinds = args.family or ["lebesgue"]
-    families = [_family_from_args(k, args) for k in kinds]
+    if args.kind == "blowup" and len(kinds) > 1:
+        raise CliError(EXIT_PARAM, "study blowup takes one --family")
     try:
+        families = _families_from_args(kinds, args)
         if args.kind == "blowup":
             rows = blowup_study(families[0], args.alpha, depths, seed=args.seed)
         else:
@@ -233,6 +233,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _add_family_flags(parser: argparse.ArgumentParser) -> None:
+    for dest in FAMILY_FLAGS:
+        parser.add_argument(_flag(dest), dest=dest, type=float, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haarlab",
@@ -247,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True)
     p_gen.add_argument("--depth", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--q", type=float, default=None)
-    p_gen.add_argument("--M", type=float, default=None)
-    p_gen.add_argument("--p-min", dest="p_min", type=float, default=None)
-    p_gen.add_argument("--p-max", dest="p_max", type=float, default=None)
+    _add_family_flags(p_gen)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(handler=cmd_measure)
     p_ins = msub.add_parser("inspect")
@@ -263,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument(
         "--norm",
         required=True,
-        choices=["lp", "weak-l1", "bmo", "bmo-osc", "lambda", "h1", "atb-upper"],
+        choices=[name.replace("_", "-") for name in NORMS] + ["atb-upper"],
     )
-    p_norm.add_argument("--p", type=float, default=2.0)
-    p_norm.add_argument("--q", type=float, default=2.0)
-    p_norm.add_argument("--alpha", type=float, default=0.0)
+    for dest in NORM_FLAGS:
+        p_norm.add_argument(_flag(dest), type=float, default=None)
     p_norm.add_argument("--out", default=None)
     p_norm.set_defaults(handler=cmd_norm)
 
@@ -286,14 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depths", required=True, help="range a:b")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--M", type=float, default=None)
-        p.add_argument("--p-min", dest="p_min", type=float, default=None)
-        p.add_argument("--p-max", dest="p_max", type=float, default=None)
-        p.add_argument("--trials", type=int, default=12)
+        _add_family_flags(p)
         p.add_argument("--out", default=None)
         if kind == "theorem":
             p.add_argument("--name", required=True, choices=list(THEOREM_NAMES))
+            p.add_argument("--trials", type=int, default=12)
         p.set_defaults(handler=cmd_study)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")

@@ -6,6 +6,7 @@ is the exact (floating point) sum of the leaf masses below it.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class MeasureTree:
         ratios = np.maximum(m[pos] / m[pos // 2], m[pos // 2] / m[pos])
         worst = int(np.argmax(ratios))
         b = float(ratios[worst])
-        argmax = Node(*self._node_of(pos[worst]))
+        argmax = self.tree.node_at(int(pos[worst]))
 
         c = self.haar_constant_heap()
         # pairs (Q internal, R internal child of Q)
@@ -114,10 +115,6 @@ class MeasureTree:
             bal_form_constant=float(np.max(form)),
             argmax_node=argmax,
         )
-
-    def _node_of(self, p: int) -> Node:
-        level = int(p).bit_length() - 1
-        return Node(level, int(p) - (1 << level))
 
     def to_json(self) -> dict:
         return {
@@ -226,6 +223,9 @@ def spine(depth: int, M: float = 1000.0) -> MeasureTree:
     return from_split_fractions(depth, fr, root_mass=M)
 
 
+# The one table of measure families: kind -> generator.  A generator takes
+# the depth, `seed` if the family is random, and the family's own keyword
+# parameters (see `family_params`).
 GENERATORS = {
     "lebesgue": lebesgue,
     "random_doubling": random_doubling,
@@ -234,16 +234,24 @@ GENERATORS = {
 }
 
 
+def _generator(kind: str):
+    try:
+        return GENERATORS[kind]
+    except KeyError:
+        raise MeasureError(f"unknown measure kind {kind!r}") from None
+
+
+def family_params(kind: str) -> tuple[str, ...]:
+    """The keyword parameters of a family besides depth and seed."""
+    names = inspect.signature(_generator(kind)).parameters
+    return tuple(name for name in names if name not in ("depth", "seed"))
+
+
 def generate(kind: str, depth: int, seed: int = 0, **params) -> MeasureTree:
     """Deterministic measure families; identical arguments give identical masses."""
     if depth < 2:
         raise MeasureError(f"generated measures need depth >= 2, got {depth}")
-    if kind == "lebesgue":
-        return lebesgue(depth, **params)
-    if kind == "random_doubling":
-        return random_doubling(depth, seed=seed, **params)
-    if kind == "geometric_unbalanced":
-        return geometric_unbalanced(depth, **params)
-    if kind == "spine":
-        return spine(depth, **params)
-    raise MeasureError(f"unknown measure kind {kind!r}")
+    gen = _generator(kind)
+    if "seed" in inspect.signature(gen).parameters:
+        params["seed"] = seed
+    return gen(depth, **params)

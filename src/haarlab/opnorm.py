@@ -10,11 +10,12 @@ independently of the search that found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg
 
-from .martingale import HaarSpectrum, StepFunction, synthesize
+from .martingale import HaarSpectrum, StepFunction, haar_function, synthesize
 from .measure import MeasureTree
 from .norms import NormSpec
 from .shift import Shift, apply_shift, haar_matrix
@@ -103,17 +104,22 @@ def _ratio(
     return to_norm(apply_shift(T, f, mu), mu) / denom
 
 
-def _deterministic_probes(mu: MeasureTree):
-    from .martingale import haar_function
+def node_probes(mu: MeasureTree, nodes: Iterable[Node]) -> Iterator[StepFunction]:
+    """The probe battery on `nodes`: first the Haar functions of the internal
+    ones, then, node by node, the indicator and the indicator recentred to
+    zero mean (for source norms that kill constants).
 
-    tree = mu.tree
+    The order decides which of two equal ratios comes first, and so where
+    `opnorm_lower_bound`'s greedy ascent starts.
+    """
+    nodes = list(nodes)
+    for node in nodes:
+        if node.level < mu.depth:
+            yield haar_function(mu, node)
     total = mu.total_mass
-    for node in tree.internal_nodes():
-        yield haar_function(mu, node)
-    for node in tree.nodes():
-        ind = StepFunction.indicator(tree, node)
+    for node in nodes:
+        ind = StepFunction.indicator(mu.tree, node)
         yield ind
-        # recentred to zero mean for source norms that kill constants
         yield ind - StepFunction.constant(mu.depth, mu.mass(node) / total)
 
 
@@ -139,7 +145,7 @@ def opnorm_lower_bound(
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = 1 << mu.depth
     best_val, best_f = -np.inf, None
-    for f in _deterministic_probes(mu):
+    for f in node_probes(mu, mu.tree.nodes()):
         val = _ratio(T, f, mu, from_norm, to_norm)
         if val > best_val:
             best_val, best_f = val, f

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
-from .martingale import StepFunction, haar_function
+from .martingale import StepFunction, analyze, haar_function, synthesize
 from .measure import MeasureTree, generate
-from .norms import NormSpec, h1_norm, haar_lambda2_norm, lambda_norm, lp_norm
+from .norms import NormSpec, haar_lambda2_norm, lambda_norm
+from .opnorm import node_probes
 from .shift import CanonicalShift, Shift, apply_shift, dense_alphas, petermichl
 from .tree import Node
 
@@ -78,7 +79,7 @@ def blowup_study(
         ests = {}
         for a in (alpha, 0.0):
             ratio = lambda_norm(th, mu, 2.0, a).value / lambda_norm(h, mu, 2.0, a).value
-            ests[f"petermichl|lambda[q=2,alpha={a:g}]"] = ratio
+            ests[f"petermichl|{NormSpec('lambda', q=2.0, alpha=a).label()}"] = ratio
         ests["predicted_lower_bound"] = predicted_blowup_ratio(mu, node, alpha)
         rows.append(
             StudyRow(
@@ -94,7 +95,18 @@ def blowup_study(
 
 # --- theorem suites ------------------------------------------------------
 
-THEOREM_NAMES = ("LInfBMO", "BMOtoBMO", "H1L1", "H1H1", "TheoremB")
+# The one table of boundedness suites: name -> (source norm, target norm).
+# A source of None means the inputs are atomic blocks and the denominator is
+# the block cost (the H1 suites).  The suite's q and alpha parametrise every
+# norm of the pair that takes them.
+SUITES: dict[str, tuple[NormSpec | None, NormSpec]] = {
+    "LInfBMO": (NormSpec("lp", p=np.inf), NormSpec("bmo")),
+    "BMOtoBMO": (NormSpec("bmo"), NormSpec("bmo")),
+    "H1L1": (None, NormSpec("lp", p=1.0)),
+    "H1H1": (None, NormSpec("h1")),
+    "TheoremB": (NormSpec("lambda"), NormSpec("lambda")),
+}
+THEOREM_NAMES = tuple(SUITES)
 
 
 def default_shift_battery(depth: int) -> dict[str, Shift]:
@@ -136,16 +148,10 @@ def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator, cap: int = 48):
 def probe_battery(
     mu: MeasureTree, seed: int, n_random: int = 12
 ) -> list[StepFunction]:
-    """Haar functions, indicators (raw and recentred), and random functions."""
+    """Haar functions, indicators (raw and recentred) of sampled nodes, and
+    random functions."""
     rng = np.random.default_rng([seed, mu.depth])
-    total = mu.total_mass
-    probes = []
-    for node in _sampled_nodes(mu, rng):
-        if node.level < mu.depth:
-            probes.append(haar_function(mu, node))
-        ind = StepFunction.indicator(mu.tree, node)
-        probes.append(ind)
-        probes.append(ind - StepFunction.constant(mu.depth, mu.mass(node) / total))
+    probes = list(node_probes(mu, _sampled_nodes(mu, rng)))
     n = 1 << mu.depth
     for t in range(n_random):
         trng = np.random.default_rng([seed, mu.depth, t])
@@ -173,46 +179,23 @@ def block_battery(
     return blocks
 
 
-def suite_norm_pair(name: str, q: float, alpha: float) -> tuple[NormSpec, NormSpec]:
-    if name == "LInfBMO":
-        return NormSpec("lp", p=np.inf), NormSpec("bmo")
-    if name == "BMOtoBMO":
-        return NormSpec("bmo"), NormSpec("bmo")
-    if name == "TheoremB":
-        lam = NormSpec("lambda", q=q, alpha=alpha)
-        return lam, lam
-    raise ValueError(f"unknown probe suite {name!r}")
-
-
 def _suite_maxima(
-    name: str,
     battery: dict[str, Shift],
     mu: MeasureTree,
-    probes: list[StepFunction],
-    blocks: list[AtomicBlock],
-    q: float,
-    alpha: float,
+    inputs: list[tuple[StepFunction, float]],
+    target: NormSpec,
 ) -> dict[str, float]:
-    """Max ratio per shift; source norms and spectra are shared across shifts."""
-    from .martingale import analyze, synthesize
-
-    if name in ("H1L1", "H1H1"):
-        inputs = [(analyze(b.function(mu.depth), mu), b.cost) for b in blocks]
-        to_norm = (
-            (lambda f: lp_norm(f, mu, 1.0)) if name == "H1L1" else (lambda f: h1_norm(f, mu))
-        )
-    else:
-        from_norm, to_spec = suite_norm_pair(name, q, alpha)
-        inputs = [(analyze(f, mu), from_norm(f, mu)) for f in probes]
-        to_norm = lambda f: to_spec(f, mu)
+    """Max ratio per shift over (input, denominator) pairs; spectra are
+    shared across shifts."""
+    spectra = [(analyze(f, mu), denom) for f, denom in inputs]
     out = {}
     for shift_name, T in battery.items():
         best = -np.inf
-        for spec, denom in inputs:
+        for spec, denom in spectra:
             if denom <= 0.0 or not np.isfinite(denom):
                 continue
             tf = synthesize(T.apply_spectrum(spec), mu)
-            best = max(best, to_norm(tf) / denom)
+            best = max(best, target(tf, mu) / denom)
         out[shift_name] = best
     return out
 
@@ -230,18 +213,23 @@ def theorem_suite(
     """Maximum probed ratio per (family, depth, shift) for one boundedness
     suite.  Bounded behavior shows up as a stagnating max across depths;
     blowup families show monotone growth instead."""
-    if name not in THEOREM_NAMES:
+    if name not in SUITES:
         raise ValueError(f"unknown theorem suite {name!r}; choose from {THEOREM_NAMES}")
+    source, target = (
+        None if spec is None else replace(spec, q=q, alpha=alpha) for spec in SUITES[name]
+    )
     rows = []
     for family in families:
         for depth in depths:
             mu = build_measure(family, depth, seed)
-            probes = probe_battery(mu, seed, n_random=n_random)
-            blocks = (
-                block_battery(mu, seed) if name in ("H1L1", "H1H1") else []
-            )
+            if source is None:
+                inputs = [(b.function(depth), b.cost) for b in block_battery(mu, seed)]
+            else:
+                inputs = [
+                    (f, source(f, mu)) for f in probe_battery(mu, seed, n_random=n_random)
+                ]
             battery = shifts(depth) if shifts is not None else default_shift_battery(depth)
-            maxima = _suite_maxima(name, battery, mu, probes, blocks, q, alpha)
+            maxima = _suite_maxima(battery, mu, inputs, target)
             ests = {f"{shift_name}|{name}": v for shift_name, v in maxima.items()}
             rows.append(
                 StudyRow(

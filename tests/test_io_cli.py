@@ -1,14 +1,25 @@
 """File formats and the command-line interface, including exit codes."""
 
+import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from haarlab import io as hio
-from haarlab.cli import main
+from haarlab.atomic import atb_upper_bound
+from haarlab.cli import build_parser, main
 from haarlab.martingale import StepFunction, haar_function
-from haarlab.measure import random_doubling
+from haarlab.measure import GENERATORS, generate, random_doubling
+from haarlab.norms import (
+    bmo_martingale,
+    bmo_oscillation,
+    h1_norm,
+    lambda_norm,
+    lp_norm,
+    weak_l1,
+)
 from haarlab.shift import CanonicalShift, GeneralShift, dense_alphas, petermichl
 from haarlab.tree import Node
 
@@ -183,6 +194,22 @@ def test_cli_norm(tmp_path, capsys):
     assert report["witness_node"] is not None
 
 
+def test_cli_norm_rejects_unused_flags(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path)
+    f_path = _save_function(tmp_path, mu_path)
+    base = ["norm", "--function", str(f_path), "--measure", str(mu_path)]
+    for flags in (
+        ["--norm", "bmo", "--p", "3"],
+        ["--norm", "lp", "--q", "2"],
+        ["--norm", "lambda", "--p", "2", "--q", "2"],
+        ["--norm", "h1", "--alpha", "0.5"],
+        ["--norm", "atb-upper", "--alpha", "0.5"],
+    ):
+        assert main(base + flags) == 3, flags
+    assert "--p not taken by --norm bmo" in capsys.readouterr().err
+    assert main(base + ["--norm", "lambda", "--q", "2", "--alpha", "0.5"]) == 0
+
+
 def test_cli_norm_exit_codes(tmp_path):
     mu_path = _gen_measure(tmp_path)
     f_path = _save_function(tmp_path, mu_path)
@@ -205,6 +232,75 @@ def test_cli_norm_exit_codes(tmp_path):
         ["norm", "--function", str(other), "--measure", str(mu_path), "--norm", "lp"]
     )
     assert code == 2
+
+
+# --norm choice -> (extra flags, reported params, direct evaluation)
+DIRECT_NORMS = {
+    "lp": ([], {"p": 2.0}, lambda f, mu: lp_norm(f, mu, 2.0)),
+    "weak-l1": ([], {}, weak_l1),
+    "bmo": ([], {}, bmo_martingale),
+    "bmo-osc": ([], {}, bmo_oscillation),
+    "lambda": ([], {"q": 2.0, "alpha": 0.0}, lambda f, mu: lambda_norm(f, mu, 2.0, 0.0)),
+    "h1": ([], {}, h1_norm),
+    "atb-upper": ([], {}, atb_upper_bound),
+}
+DIRECT_NORM_CASES = list(DIRECT_NORMS.items()) + [
+    ("lp", (["--p", "3"], {"p": 3.0}, lambda f, mu: lp_norm(f, mu, 3.0))),
+    (
+        "lambda",
+        (
+            ["--q", "3", "--alpha", "0.25"],
+            {"q": 3.0, "alpha": 0.25},
+            lambda f, mu: lambda_norm(f, mu, 3.0, 0.25),
+        ),
+    ),
+]
+
+
+def _subparser(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_cli_norm_choices_are_covered():
+    norm = next(a for a in _subparser("norm")._actions if a.dest == "norm")
+    assert list(norm.choices) == list(DIRECT_NORMS)
+
+
+@pytest.mark.parametrize("norm,case", DIRECT_NORM_CASES)
+def test_cli_norm_equals_direct_value(tmp_path, capsys, norm, case):
+    flags, params, direct = case
+    mu_path = _gen_measure(tmp_path)
+    mu = hio.load_measure(mu_path)
+    f = StepFunction(mu.depth, np.random.default_rng(3).standard_normal(1 << mu.depth))
+    f = f - StepFunction.constant(mu.depth, float(np.sum(f.values * mu.leaf_masses)))
+    f_path = tmp_path / "f.json"
+    hio.save_function(f, f_path)
+    capsys.readouterr()
+    code = main(
+        ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", norm, *flags]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = direct(f, mu)
+    witness = None
+    if norm == "lambda":
+        expected, witness = expected.value, str(expected.witness_node)
+    assert report == {
+        "norm": norm, "params": params, "value": expected, "witness_node": witness
+    }
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_cli_measure_gen_every_kind(tmp_path, kind):
+    path = tmp_path / "mu.json"
+    code = main(
+        ["measure", "gen", "--kind", kind, "--depth", "5", "--seed", "3", "--out", str(path)]
+    )
+    assert code == 0
+    assert np.array_equal(
+        hio.load_measure(path).leaf_masses, generate(kind, 5, seed=3).leaf_masses
+    )
 
 
 def test_cli_apply(tmp_path):
@@ -270,6 +366,38 @@ def test_cli_study_theorem(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 5
+
+
+def test_cli_family_flags_must_be_taken(tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    gen = ["measure", "gen", "--depth", "4", "--out", out]
+    assert main(gen + ["--kind", "lebesgue", "--q", "0.3", "--M", "9", "--p-min", "0.1"]) == 3
+    assert main(gen + ["--kind", "spine", "--q", "0.3"]) == 3
+    assert "--q not taken by family spine" in capsys.readouterr().err
+    assert main(gen + ["--kind", "mystery", "--q", "0.3"]) == 2
+    assert main(gen + ["--kind", "spine", "--M", "9"]) == 0
+    theorem = ["study", "theorem", "--name", "BMOtoBMO", "--depths", "4:4", "--trials", "1"]
+    assert main(theorem + ["--family", "lebesgue", "--q", "0.3"]) == 3
+    blowup = ["study", "blowup", "--depths", "4:4", "--out", out]
+    assert main(blowup + ["--family", "lebesgue", "--p-max", "0.6"]) == 3
+    # a flag goes to the selected families that take it
+    both = ["--family", "lebesgue", "--family", "geometric_unbalanced", "--q", "0.3"]
+    assert main(theorem + both + ["--out", out]) == 0
+    rows = list(csv.reader((tmp_path / "x.out").read_text().splitlines()[1:]))
+    assert {r[0] for r in rows} == {"lebesgue", "geometric_unbalanced,q=0.3"}
+
+
+def test_cli_study_blowup_takes_one_family():
+    code = main(
+        ["study", "blowup", "--family", "lebesgue", "--family", "spine", "--depths", "4:5"]
+    )
+    assert code == 3
+
+
+def test_cli_study_trials_only_on_theorem():
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "blowup", "--family", "lebesgue", "--depths", "4:5", "--trials", "99"])
+    assert exc.value.code == 2
 
 
 def test_cli_study_bad_depths():

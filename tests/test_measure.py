@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from haarlab.measure import (
+    GENERATORS,
     MeasureError,
     MeasureTree,
     from_split_fractions,
@@ -104,6 +105,27 @@ def test_generate_dispatch_and_determinism():
         generate("unknown", 5)
     with pytest.raises(MeasureError):
         generate("lebesgue", 1)
+
+
+def test_generate_covers_every_family():
+    expected = {
+        "lebesgue": lebesgue(5),
+        "random_doubling": random_doubling(5, seed=3),
+        "geometric_unbalanced": geometric_unbalanced(5),
+        "spine": spine(5),
+    }
+    assert set(GENERATORS) == set(expected)
+    for kind, mu in expected.items():
+        assert np.array_equal(generate(kind, 5, seed=3).leaf_masses, mu.leaf_masses)
+    custom = generate("random_doubling", 5, seed=3, p_min=0.2, p_max=0.8)
+    assert np.array_equal(
+        custom.leaf_masses, random_doubling(5, seed=3, p_min=0.2, p_max=0.8).leaf_masses
+    )
+    assert np.array_equal(generate("spine", 5, M=50.0).leaf_masses, spine(5, M=50.0).leaf_masses)
+    assert np.array_equal(
+        generate("geometric_unbalanced", 5, q=0.3).leaf_masses,
+        geometric_unbalanced(5, q=0.3).leaf_masses,
+    )
 
 
 def test_balance_sandwich_spot():

@@ -160,6 +160,17 @@ def test_norm_spec_dispatch(mu):
         lambda_norm(f, mu, 2.0, 0.5).value
     )
     assert NormSpec("h1")(f, mu) == pytest.approx(h1_norm(f, mu))
-    assert NormSpec("lambda", q=2.0, alpha=0.5).label() == "lambda[q=2,alpha=0.5]"
+    labels = {
+        NormSpec("lp", p=2.0): "lp[p=2]",
+        NormSpec("lp", p=np.inf): "lp[p=inf]",
+        NormSpec("weak_l1"): "weak_l1",
+        NormSpec("bmo"): "bmo",
+        NormSpec("bmo_osc"): "bmo_osc",
+        NormSpec("lambda", q=2.0, alpha=0.5): "lambda[q=2,alpha=0.5]",
+        NormSpec("lambda"): "lambda[q=2,alpha=0]",
+        NormSpec("h1"): "h1",
+    }
+    for spec, label in labels.items():
+        assert spec.label() == label
     with pytest.raises(NormError):
         NormSpec("nope")(f, mu)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from haarlab.martingale import StepFunction
+from haarlab import opnorm
+from haarlab.martingale import StepFunction, haar_function
 from haarlab.measure import lebesgue, random_doubling
 from haarlab.norms import NormSpec, lp_norm
 from haarlab.opnorm import (
@@ -96,3 +97,29 @@ def test_lower_bound_validation(mu):
     l2 = NormSpec("lp", p=2.0)
     with pytest.raises(ValueError):
         opnorm_lower_bound(T, mu, l2, l2, budget=0)
+
+
+def test_deterministic_probe_order(monkeypatch):
+    # the order decides which of two equal ratios wins and so where the
+    # greedy ascent starts: Haar functions in heap order, then for every
+    # node in heap order its indicator and the recentred indicator
+    mu = random_doubling(3, seed=5)
+    seen = []
+    ratio = opnorm._ratio
+
+    def spy(T, f, mu_, from_norm, to_norm):
+        seen.append(f.values.copy())
+        return ratio(T, f, mu_, from_norm, to_norm)
+
+    monkeypatch.setattr(opnorm, "_ratio", spy)
+    l2 = NormSpec("lp", p=2.0)
+    opnorm_lower_bound(petermichl(3), mu, l2, l2, budget=1, ascent_steps=0)
+    n, tree = 1 << mu.depth, mu.tree
+    for p in range(1, n):
+        assert np.array_equal(seen[p - 1], haar_function(mu, tree.node_at(p)).values)
+    for p in range(1, 2 * n):
+        node = tree.node_at(p)
+        ind = StepFunction.indicator(tree, node)
+        centred = ind - StepFunction.constant(mu.depth, mu.mass(node) / mu.total_mass)
+        assert np.array_equal(seen[n - 1 + 2 * (p - 1)], ind.values)
+        assert np.array_equal(seen[n + 2 * (p - 1)], centred.values)
