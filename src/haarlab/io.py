@@ -38,9 +38,12 @@ def function_to_json(f: StepFunction) -> dict:
 
 def function_from_json(obj: dict) -> StepFunction:
     try:
-        return StepFunction(int(obj["depth"]), obj["leaf_values"])
+        f = StepFunction(int(obj["depth"]), obj["leaf_values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed function file: {exc}") from exc
+    if not np.all(np.isfinite(f.values)):
+        raise FormatError("malformed function file: leaf values must be finite")
+    return f
 
 
 def save_function(f: StepFunction, path) -> None:

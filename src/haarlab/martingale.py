@@ -46,13 +46,6 @@ class StepFunction:
     def __abs__(self) -> "StepFunction":
         return StepFunction(self.depth, np.abs(self.values))
 
-    def restrict(self, tree: DyadicTree, node: Node) -> "StepFunction":
-        """Zero out everything outside the given node."""
-        lo, hi = tree.leaf_range(node)
-        vals = np.zeros_like(self.values)
-        vals[lo:hi] = self.values[lo:hi]
-        return StepFunction(self.depth, vals)
-
     @staticmethod
     def zero(depth: int) -> "StepFunction":
         return StepFunction(depth, np.zeros(1 << depth))
@@ -98,25 +91,16 @@ class HaarSpectrum:
             level = p.bit_length() - 1
             yield Node(level, p - (1 << level)), float(self.coeffs[p])
 
-    @staticmethod
-    def zero(depth: int) -> "HaarSpectrum":
-        return HaarSpectrum(depth, 0.0, np.zeros(1 << depth))
-
 
 def _check_compat(f: StepFunction, mu: MeasureTree) -> None:
     if f.depth != mu.depth:
         raise TreeError(f"function depth {f.depth} != measure depth {mu.depth}")
 
 
-def integral_heap(f: StepFunction, mu: MeasureTree) -> np.ndarray:
-    """Heap of integrals of f over every node."""
-    _check_compat(f, mu)
-    return aggregate_heap(mu.depth, f.values * mu.leaf_masses)
-
-
 def average_heap(f: StepFunction, mu: MeasureTree) -> np.ndarray:
     """Heap of averages of f over every node."""
-    ints = integral_heap(f, mu)
+    _check_compat(f, mu)
+    ints = aggregate_heap(mu.depth, f.values * mu.leaf_masses)
     out = np.empty_like(ints)
     out[0] = np.nan
     out[1:] = ints[1:] / mu.mass_heap[1:]
@@ -219,12 +203,6 @@ def synthesize(spec: HaarSpectrum, mu: MeasureTree) -> StepFunction:
 def square_function(f: StepFunction, mu: MeasureTree) -> StepFunction:
     """Pointwise (sum_I coeff(I)^2 h_I(x)^2)^(1/2), accumulated top-down."""
     spec = analyze(f, mu)
-    return square_function_of_spectrum(spec, mu)
-
-
-def square_function_of_spectrum(spec: HaarSpectrum, mu: MeasureTree) -> StepFunction:
-    if spec.depth != mu.depth:
-        raise TreeError(f"spectrum depth {spec.depth} != measure depth {mu.depth}")
     n = 1 << mu.depth
     acc = np.zeros(2 * n, dtype=np.float64)
     c = mu.haar_constant_heap()

@@ -42,8 +42,8 @@ class MeasureTree:
             raise MeasureError(
                 f"expected {tree.n_leaves} leaf masses, got shape {masses.shape}"
             )
-        if not np.all(masses > 0):
-            raise MeasureError("all leaf masses must be strictly positive")
+        if not np.all(np.isfinite(masses) & (masses > 0)):
+            raise MeasureError("all leaf masses must be finite and strictly positive")
         self.tree = tree
         self.leaf_masses = masses
         self.leaf_masses.setflags(write=False)
@@ -252,6 +252,9 @@ def generate(kind: str, depth: int, seed: int = 0, **params) -> MeasureTree:
     if depth < 2:
         raise MeasureError(f"generated measures need depth >= 2, got {depth}")
     gen = _generator(kind)
+    unknown = sorted(set(params) - set(family_params(kind)))
+    if unknown:
+        raise MeasureError(f"family {kind!r} takes no parameter {', '.join(unknown)}")
     if "seed" in inspect.signature(gen).parameters:
         params["seed"] = seed
     return gen(depth, **params)

@@ -19,7 +19,14 @@ from .martingale import (
     square_function,
 )
 from .measure import MeasureTree
-from .tree import Node, TreeError, aggregate_heap, leaf_broadcast
+from . import tree as _tree
+from .tree import Node, TreeError, leaf_broadcast, level_sums
+
+# The norms sum levels with `level_sums`.  `aggregate_heap` stays bound here
+# because the benchmark tracer rebinds it in every haarlab module that holds
+# it, and perfbench/selftest.py checks that rebinding, and its undoing, on
+# this module.
+aggregate_heap = _tree.aggregate_heap
 
 
 class NormError(ValueError):
@@ -33,7 +40,7 @@ class NormValue:
 
 
 def lp_norm(f: StepFunction, mu: MeasureTree, p: float) -> float:
-    if p < 1:
+    if not p >= 1:
         raise NormError(f"p must be >= 1, got {p}")
     if np.isinf(p):
         return float(np.max(np.abs(f.values)))
@@ -53,28 +60,23 @@ def weak_l1(f: StepFunction, mu: MeasureTree) -> float:
     return float(np.max(sorted_vals * cum_mass, initial=0.0))
 
 
-def _level_slice(k: int) -> slice:
-    return slice(1 << k, 1 << (k + 1))
-
-
-def _parent_avg_leafwise(mu: MeasureTree, avg: np.ndarray, k: int) -> np.ndarray:
-    """Leafwise average over the parent generation of level k (root: itself)."""
-    level = max(k - 1, 0)
-    return leaf_broadcast(mu.depth, avg[_level_slice(level)], level)
+def _level_deviations(f: StepFunction, mu: MeasureTree, avg: np.ndarray, up: int):
+    """Per level k: (k, leafwise |f - <f>_A|, masses of the level-k nodes),
+    where A is the ancestor `up` levels above (the root where none is)."""
+    for k in range(mu.depth + 1):
+        a = max(k - up, 0)
+        dev = np.abs(f.values - leaf_broadcast(mu.depth, avg[1 << a : 2 << a], a))
+        yield k, dev, mu.mass_heap[1 << k : 2 << k]
 
 
 def bmo_martingale(f: StepFunction, mu: MeasureTree) -> float:
     """sup_k || E_k |f - E_{k-1} f| ||_inf, with E_{-1} the root average."""
-    avg = average_heap(f, mu)
     best = 0.0
-    for k in range(mu.depth + 1):
-        dev = np.abs(f.values - _parent_avg_leafwise(mu, avg, k))
+    for k, dev, mass in _level_deviations(f, mu, average_heap(f, mu), up=1):
         if k == mu.depth:
             level_sup = float(np.max(dev))
         else:
-            dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
-            sl = _level_slice(k)
-            level_sup = float(np.max(dev_int[sl] / mu.mass_heap[sl]))
+            level_sup = float(np.max(level_sums(mu.depth, dev * mu.leaf_masses, k) / mass))
         best = max(best, level_sup)
     return best
 
@@ -83,11 +85,8 @@ def bmo_oscillation(f: StepFunction, mu: MeasureTree) -> float:
     """sup_I <|f - <f>_I|>_I plus sup_I |<f>_parent - <f>_I|."""
     avg = average_heap(f, mu)
     osc = 0.0
-    for k in range(mu.depth + 1):
-        sl = _level_slice(k)
-        dev = np.abs(f.values - leaf_broadcast(mu.depth, avg[sl], k))
-        dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
-        osc = max(osc, float(np.max(dev_int[sl] / mu.mass_heap[sl])))
+    for k, dev, mass in _level_deviations(f, mu, avg, up=0):
+        osc = max(osc, float(np.max(level_sums(mu.depth, dev * mu.leaf_masses, k) / mass)))
     n = 1 << mu.depth
     pos = np.arange(2, 2 * n)
     jump = float(np.max(np.abs(avg[pos // 2] - avg[pos])))
@@ -103,15 +102,12 @@ def lambda_norm(
     """
     if q < 1 or not np.isfinite(q):
         raise NormError(f"q must be a finite real >= 1, got {q}")
-    if alpha < 0:
+    if not alpha >= 0:
         raise NormError(f"alpha must be >= 0, got {alpha}")
-    avg = average_heap(f, mu)
     best, witness = 0.0, Node(0, 0)
-    for k in range(mu.depth + 1):
-        dev = np.abs(f.values - _parent_avg_leafwise(mu, avg, k)) ** q
-        dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
-        sl = _level_slice(k)
-        vals = dev_int[sl] ** (1.0 / q) * mu.mass_heap[sl] ** (-1.0 / q - alpha)
+    for k, dev, mass in _level_deviations(f, mu, average_heap(f, mu), up=1):
+        dev_int = level_sums(mu.depth, dev**q * mu.leaf_masses, k)
+        vals = dev_int ** (1.0 / q) * mass ** (-1.0 / q - alpha)
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, witness = float(vals[j]), Node(k, j)
@@ -126,7 +122,7 @@ def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
     c_I / mu(child)^(1+alpha)); everything strictly below the children
     contributes zero.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise NormError(f"alpha must be >= 0, got {alpha}")
     tree = mu.tree
     if tree.is_leaf(node):

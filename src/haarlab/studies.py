@@ -97,8 +97,8 @@ def blowup_study(
 
 # The one table of boundedness suites: name -> (source norm, target norm).
 # A source of None means the inputs are atomic blocks and the denominator is
-# the block cost (the H1 suites).  The suite's q and alpha parametrise every
-# norm of the pair that takes them.
+# the block cost (the H1 suites).  The suite's alpha parametrises every norm
+# of the pair that takes it; the Lambda exponent q stays NormSpec's 2.
 SUITES: dict[str, tuple[NormSpec | None, NormSpec]] = {
     "LInfBMO": (NormSpec("lp", p=np.inf), NormSpec("bmo")),
     "BMOtoBMO": (NormSpec("bmo"), NormSpec("bmo")),
@@ -205,18 +205,17 @@ def theorem_suite(
     families: list[dict],
     depths: list[int],
     seed: int = 0,
-    q: float = 2.0,
     alpha: float = 0.5,
     n_random: int = 12,
-    shifts=None,
 ) -> list[StudyRow]:
     """Maximum probed ratio per (family, depth, shift) for one boundedness
-    suite.  Bounded behavior shows up as a stagnating max across depths;
-    blowup families show monotone growth instead."""
+    suite, over `default_shift_battery`; `alpha` is the Lipschitz order of
+    the Lambda_2 suites.  Bounded behavior shows up as a stagnating max
+    across depths; blowup families show monotone growth instead."""
     if name not in SUITES:
         raise ValueError(f"unknown theorem suite {name!r}; choose from {THEOREM_NAMES}")
     source, target = (
-        None if spec is None else replace(spec, q=q, alpha=alpha) for spec in SUITES[name]
+        None if spec is None else replace(spec, alpha=alpha) for spec in SUITES[name]
     )
     rows = []
     for family in families:
@@ -228,8 +227,7 @@ def theorem_suite(
                 inputs = [
                     (f, source(f, mu)) for f in probe_battery(mu, seed, n_random=n_random)
                 ]
-            battery = shifts(depth) if shifts is not None else default_shift_battery(depth)
-            maxima = _suite_maxima(battery, mu, inputs, target)
+            maxima = _suite_maxima(default_shift_battery(depth), mu, inputs, target)
             ests = {f"{shift_name}|{name}": v for shift_name, v in maxima.items()}
             rows.append(
                 StudyRow(

@@ -149,6 +149,13 @@ class DyadicTree:
         return self.root_origin + j * length, length
 
 
+def _parent_sums(child_sums: np.ndarray) -> np.ndarray:
+    """One level up: each parent's sum is its left child's plus its right
+    child's.  `aggregate_heap` and `level_sums` both step with this alone, so
+    they perform the same adds in the same order."""
+    return child_sums[0::2] + child_sums[1::2]
+
+
 def aggregate_heap(depth: int, leaf_values: np.ndarray) -> np.ndarray:
     """Bottom-up sums: heap[p] = sum of leaf_values over leaves under p.
 
@@ -159,12 +166,25 @@ def aggregate_heap(depth: int, leaf_values: np.ndarray) -> np.ndarray:
         raise TreeError(f"expected {n} leaf values, got shape {leaf_values.shape}")
     heap = np.empty(2 * n, dtype=np.float64)
     heap[n:] = leaf_values
+    sums = heap[n:]
     for k in range(depth - 1, -1, -1):
-        lo, hi = 1 << k, 1 << (k + 1)
-        child = heap[hi : 2 * hi]
-        heap[lo:hi] = child[0::2] + child[1::2]
+        sums = _parent_sums(sums)
+        heap[1 << k : 2 << k] = sums
     heap[0] = np.nan
     return heap
+
+
+def level_sums(depth: int, leaf_values: np.ndarray, level: int) -> np.ndarray:
+    """Sums of leaf_values over the 2**level nodes of one level: the same
+    adds as `aggregate_heap`, stopped at `level`, without the heap."""
+    if leaf_values.shape != (1 << depth,):
+        raise TreeError(f"expected {1 << depth} leaf values, got shape {leaf_values.shape}")
+    if not 0 <= level <= depth:
+        raise TreeError(f"level {level} outside tree of depth {depth}")
+    sums = leaf_values.astype(np.float64, copy=False)
+    for _ in range(depth - level):
+        sums = _parent_sums(sums)
+    return sums
 
 
 def leaf_broadcast(depth: int, level_values: np.ndarray, level: int) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Every import in a haarlab module is used by that module.
+"""Every import in a haarlab module is used by that module, and every
+function, method and class it defines is referenced somewhere.
 
-No linter ships with the toolchain, so this is the unused-import check.
-`__init__.py` is exempt: its imports are the package's re-exports.
+No linter ships with the toolchain, so these are the unused-import and
+dead-definition checks.  `__init__.py` is exempt from the import check: its
+imports are the package's re-exports.
 """
 
 import ast
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "haarlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "haarlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a definition in src/haarlab may be referenced from
+REFERENCE_DIRS = ("src", "tests", "demos", "perfbench")
 
 
 def _annotation_names(node: ast.AST):
@@ -54,3 +59,56 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def _references(tree: ast.AST):
+    """Names a module reads: bare or quoted in an annotation, as an
+    attribute, or in a from-import."""
+    yield from _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Non-dunder definitions in `defining` (file name -> source) whose name
+    no module in `defining` or `others` references."""
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    used = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        used.update(_references(tree))
+    return sorted(
+        f"{file}:{line} {name}"
+        for file, tree in trees.items()
+        for name, line in _definitions(tree)
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_checker_flags_an_unreferenced_definition():
+    defining = {
+        "m.py": "class A:\n    def used(self): pass\n    def dead(self): pass\n"
+        "    def __repr__(self): pass\ndef helper(): pass\ndef orphan(): pass\n"
+        "def f() -> 'A':\n    return helper()\n",
+    }
+    others = ["from m import f\nf().used()\n"]
+    assert unreferenced_definitions(defining, others) == ["m.py:3 dead", "m.py:6 orphan"]
+
+
+def test_no_unreferenced_definitions():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text()
+        for d in REFERENCE_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p.parent != SRC
+    ]
+    assert unreferenced_definitions(defining, others) == []

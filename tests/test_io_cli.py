@@ -116,6 +116,13 @@ def test_format_errors(tmp_path):
         hio.load_shift(bad, 3)
     with pytest.raises(hio.FormatError):
         hio.load_measure(tmp_path / "missing.json")
+    for bad_value in (float("inf"), float("nan")):
+        bad.write_text(json.dumps({"depth": 1, "leaf_masses": [1.0, bad_value]}))
+        with pytest.raises(hio.FormatError):
+            hio.load_measure(bad)
+        bad.write_text(json.dumps({"depth": 1, "leaf_values": [1.0, bad_value]}))
+        with pytest.raises(hio.FormatError):
+            hio.load_function(bad)
 
 
 def test_norm_report():
@@ -213,12 +220,12 @@ def test_cli_norm_rejects_unused_flags(tmp_path, capsys):
 def test_cli_norm_exit_codes(tmp_path):
     mu_path = _gen_measure(tmp_path)
     f_path = _save_function(tmp_path, mu_path)
-    # parameter error: p < 1
-    code = main(
-        ["norm", "--function", str(f_path), "--measure", str(mu_path),
-         "--norm", "lp", "--p", "0.5"]
-    )
-    assert code == 3
+    # parameter error: p < 1, or a NaN parameter
+    for flags in (["lp", "--p", "0.5"], ["lp", "--p", "nan"], ["lambda", "--alpha", "nan"]):
+        code = main(
+            ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", *flags]
+        )
+        assert code == 3, flags
     # input error: missing function file
     code = main(
         ["norm", "--function", str(tmp_path / "nope.json"), "--measure", str(mu_path),
@@ -301,6 +308,34 @@ def test_cli_measure_gen_every_kind(tmp_path, kind):
     assert np.array_equal(
         hio.load_measure(path).leaf_masses, generate(kind, 5, seed=3).leaf_masses
     )
+
+
+def test_cli_rejects_non_finite_files(tmp_path):
+    mu_path = _gen_measure(tmp_path)
+    f_path = _save_function(tmp_path, mu_path)
+    shift_path = tmp_path / "T.json"
+    shift_path.write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    inf_mu = tmp_path / "inf_mu.json"
+    obj = json.loads(mu_path.read_text())
+    obj["leaf_masses"][3] = float("inf")
+    inf_mu.write_text(json.dumps(obj))
+    nan_f = tmp_path / "nan_f.json"
+    obj = json.loads(f_path.read_text())
+    obj["leaf_values"][5] = float("nan")
+    nan_f.write_text(json.dumps(obj))
+    # an inf mass: measure inspect and norm --measure are input errors
+    assert main(["measure", "inspect", str(inf_mu)]) == 2
+    assert main(
+        ["norm", "--function", str(f_path), "--measure", str(inf_mu), "--norm", "bmo"]
+    ) == 2
+    # a NaN leaf value: norm and apply are input errors
+    assert main(
+        ["norm", "--function", str(nan_f), "--measure", str(mu_path), "--norm", "bmo"]
+    ) == 2
+    assert main(
+        ["apply", "--shift", str(shift_path), "--function", str(nan_f),
+         "--measure", str(mu_path), "--out", str(tmp_path / "Tf.json")]
+    ) == 2
 
 
 def test_cli_apply(tmp_path):

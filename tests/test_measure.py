@@ -33,6 +33,9 @@ def test_constructor_validation():
         MeasureTree(tree, np.array([1.0] * 7 + [0.0]))
     with pytest.raises(MeasureError):
         MeasureTree(tree, np.array([1.0] * 7 + [-1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(MeasureError):
+            MeasureTree(tree, np.array([1.0] * 7 + [bad]))
 
 
 def test_split_fraction_validation():
@@ -105,6 +108,10 @@ def test_generate_dispatch_and_determinism():
         generate("unknown", 5)
     with pytest.raises(MeasureError):
         generate("lebesgue", 1)
+    with pytest.raises(MeasureError, match="takes no parameter q"):
+        generate("lebesgue", 5, q=0.3)
+    with pytest.raises(MeasureError, match="takes no parameter M, q$"):
+        generate("random_doubling", 5, q=0.2, p_min=0.2, M=5.0)
 
 
 def test_generate_covers_every_family():

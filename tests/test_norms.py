@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab.martingale import StepFunction, haar_function, square_function
-from haarlab.measure import lebesgue, random_doubling
+from haarlab.martingale import StepFunction, average_heap, haar_function, square_function
+from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import (
     NormError,
     NormSpec,
@@ -21,7 +21,7 @@ from haarlab.norms import (
     sibling_lemma_check,
     weak_l1,
 )
-from haarlab.tree import Node, TreeError
+from haarlab.tree import DyadicTree, Node, TreeError, aggregate_heap, leaf_broadcast
 
 
 @pytest.fixture
@@ -42,6 +42,8 @@ def test_lp_norm_lebesgue():
     assert lp_norm(f, mu, np.inf) == 7.0
     with pytest.raises(NormError):
         lp_norm(f, mu, 0.5)
+    with pytest.raises(NormError):
+        lp_norm(f, mu, np.nan)
 
 
 def test_lp_norm_interpolates(mu):
@@ -92,6 +94,10 @@ def test_lambda_norm_witness(mu):
         lambda_norm(f, mu, 2.0, -0.1)
     with pytest.raises(NormError):
         lambda_norm(f, mu, np.inf, 0.0)
+    with pytest.raises(NormError):
+        lambda_norm(f, mu, np.nan, 0.0)
+    with pytest.raises(NormError):
+        lambda_norm(f, mu, 2.0, np.nan)
 
 
 def test_lambda_scales_homogeneously(mu):
@@ -109,6 +115,8 @@ def test_haar_lambda2_closed_form(mu):
             assert closed == pytest.approx(enum, rel=1e-10)
     with pytest.raises(TreeError):
         haar_lambda2_norm(mu, Node(mu.depth, 0), 0.0)
+    with pytest.raises(NormError):
+        haar_lambda2_norm(mu, Node(0, 0), np.nan)
 
 
 def test_h1_norm_is_l1_of_square_function(mu):
@@ -174,3 +182,95 @@ def test_norm_spec_dispatch(mu):
         assert spec.label() == label
     with pytest.raises(NormError):
         NormSpec("nope")(f, mu)
+
+
+# --- reference level loops ------------------------------------------------
+# Verbatim copies of the per-level loops the three sup norms used before they
+# shared one deviation pass: each level builds a full aggregate_heap and reads
+# one level of it.  The shared pass must reproduce them bit for bit.
+
+
+def _ref_parent_avg_leafwise(mu, avg, k):
+    level = max(k - 1, 0)
+    return leaf_broadcast(mu.depth, avg[1 << level : 2 << level], level)
+
+
+def _ref_bmo_martingale(f, mu):
+    avg = average_heap(f, mu)
+    best = 0.0
+    for k in range(mu.depth + 1):
+        dev = np.abs(f.values - _ref_parent_avg_leafwise(mu, avg, k))
+        if k == mu.depth:
+            level_sup = float(np.max(dev))
+        else:
+            dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
+            sl = slice(1 << k, 1 << (k + 1))
+            level_sup = float(np.max(dev_int[sl] / mu.mass_heap[sl]))
+        best = max(best, level_sup)
+    return best
+
+
+def _ref_bmo_oscillation(f, mu):
+    avg = average_heap(f, mu)
+    osc = 0.0
+    for k in range(mu.depth + 1):
+        sl = slice(1 << k, 1 << (k + 1))
+        dev = np.abs(f.values - leaf_broadcast(mu.depth, avg[sl], k))
+        dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
+        osc = max(osc, float(np.max(dev_int[sl] / mu.mass_heap[sl])))
+    n = 1 << mu.depth
+    pos = np.arange(2, 2 * n)
+    jump = float(np.max(np.abs(avg[pos // 2] - avg[pos])))
+    return osc + jump
+
+
+def _ref_lambda_norm(f, mu, q, alpha):
+    avg = average_heap(f, mu)
+    best, witness = 0.0, Node(0, 0)
+    for k in range(mu.depth + 1):
+        dev = np.abs(f.values - _ref_parent_avg_leafwise(mu, avg, k)) ** q
+        dev_int = aggregate_heap(mu.depth, dev * mu.leaf_masses)
+        sl = slice(1 << k, 1 << (k + 1))
+        vals = dev_int[sl] ** (1.0 / q) * mu.mass_heap[sl] ** (-1.0 / q - alpha)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, witness = float(vals[j]), Node(k, j)
+    return best, witness
+
+
+def _pinning_measures(depth):
+    """Every generator family (depth >= 2) plus leaf masses spread over 1e-8..1."""
+    rng = np.random.default_rng([11, depth])
+    n = 1 << depth
+    measures = [
+        MeasureTree(DyadicTree(depth), 10.0 ** rng.uniform(-8.0, 0.0, n)),
+        MeasureTree(DyadicTree(depth), np.where(np.arange(n) % 3 == 0, 1e-8, 1.0)),
+    ]
+    if depth >= 2:
+        measures += [generate(kind, depth, seed=depth) for kind in GENERATORS]
+    return measures
+
+
+def _pinning_functions(depth):
+    rng = np.random.default_rng([13, depth])
+    n = 1 << depth
+    bases = [
+        rng.standard_normal(n),
+        rng.standard_normal(n) * 10.0 ** rng.uniform(-4.0, 4.0, n),
+        np.arange(n, dtype=np.float64) - 0.5 * n,
+    ]
+    for base in bases:
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            yield StepFunction(depth, scale * base)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_sup_norms_match_reference_loops(depth):
+    for mu in _pinning_measures(depth):
+        for f in _pinning_functions(depth):
+            assert bmo_martingale(f, mu) == _ref_bmo_martingale(f, mu)
+            assert bmo_oscillation(f, mu) == _ref_bmo_oscillation(f, mu)
+            for q in (1.0, 2.0, 3.5):
+                for alpha in (0.0, 0.5, 1.0):
+                    res = lambda_norm(f, mu, q, alpha)
+                    assert (res.value, res.witness_node) == _ref_lambda_norm(f, mu, q, alpha)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from haarlab.measure import geometric_unbalanced
+from haarlab.measure import MeasureError, geometric_unbalanced
 from haarlab.norms import haar_lambda2_norm
 from haarlab.studies import (
     THEOREM_NAMES,
@@ -59,6 +59,8 @@ def test_blowup_study_grows_on_unbalanced():
         blowup_study(fam, 0.5, [4, 4])
     with pytest.raises(ValueError):
         blowup_study(fam, 0.5, [])
+    with pytest.raises(MeasureError, match="takes no parameter q"):
+        blowup_study({"kind": "lebesgue", "q": 0.3}, 0.5, [4])
 
 
 def test_default_shift_battery():
@@ -74,6 +76,8 @@ def test_theorem_suite_shapes_and_names():
     assert all("|LInfBMO" in key for r in rows for key in r.estimates)
     with pytest.raises(ValueError):
         theorem_suite("NotASuite", [{"kind": "lebesgue"}], [4])
+    with pytest.raises(MeasureError, match="takes no parameter q"):
+        theorem_suite("LInfBMO", [{"kind": "lebesgue", "q": 0.3}], [4], n_random=1)
     assert set(THEOREM_NAMES) == {"LInfBMO", "BMOtoBMO", "H1L1", "H1H1", "TheoremB"}
 
 

@@ -9,6 +9,7 @@ from haarlab.tree import (
     TreeError,
     aggregate_heap,
     leaf_broadcast,
+    level_sums,
     node_from_key,
 )
 
@@ -105,6 +106,21 @@ def test_aggregate_heap_matches_brute_force():
 def test_aggregate_heap_shape_error():
     with pytest.raises(TreeError):
         aggregate_heap(3, np.zeros(7))
+
+
+def test_level_sums_equal_heap_levels():
+    rng = np.random.default_rng(1)
+    for depth in range(1, 11):
+        vals = rng.standard_normal(1 << depth) * 10.0 ** rng.uniform(-8, 8, 1 << depth)
+        heap = aggregate_heap(depth, vals)
+        for k in range(depth + 1):
+            assert np.array_equal(level_sums(depth, vals, k), heap[1 << k : 2 << k])
+    with pytest.raises(TreeError):
+        level_sums(3, np.zeros(7), 1)
+    with pytest.raises(TreeError):
+        level_sums(3, np.zeros(8), 4)
+    with pytest.raises(TreeError):
+        level_sums(3, np.zeros(8), -1)
 
 
 def test_leaf_broadcast():
