@@ -18,6 +18,9 @@ from .measure import MeasureTree
 from .norms import NormError, lp_norm
 from .tree import Node, TreeError
 
+# relative tolerance of the block conditions and of the zero-mean test
+TOL = 1e-9
+
 
 class Subatom(NamedTuple):
     weight: float  # lambda_j
@@ -56,9 +59,7 @@ class BlockValidation:
     cost: float
 
 
-def validate_block(
-    block: AtomicBlock, mu: MeasureTree, tol: float = 1e-9
-) -> BlockValidation:
+def validate_block(block: AtomicBlock, mu: MeasureTree) -> BlockValidation:
     """Check all three block conditions; reports violations, never raises."""
     tree = mu.tree
     p = block.p
@@ -73,16 +74,16 @@ def validate_block(
         outside = np.abs(sa.func.values).copy()
         outside[lo:hi] = 0.0
         scale = max(float(np.max(np.abs(sa.func.values))), 1.0)
-        if np.any(outside > tol * scale):
+        if np.any(outside > TOL * scale):
             support_bad.append(i)
         bound = mu.mass(sa.node) ** (-1.0 / pprime) / (sa.node.level - block.base_level + 1)
-        if lp_norm(sa.func, mu, p) > bound * (1.0 + tol):
+        if lp_norm(sa.func, mu, p) > bound * (1.0 + TOL):
             size_bad.append(i)
 
     b = block.function(mu.depth)
     mean_part = expectation(b, mu, block.base_level)
     scale = max(float(np.max(np.abs(b.values))), 1.0)
-    mean_bad = bool(np.max(np.abs(mean_part.values)) > tol * scale)
+    mean_bad = bool(np.max(np.abs(mean_part.values)) > TOL * scale)
     return BlockValidation(
         valid=not (support_bad or size_bad or mean_bad),
         support_violations=tuple(support_bad),
@@ -156,13 +157,13 @@ def random_block(
     return combine_blocks(blocks, weights)
 
 
-def atb_upper_bound(f: StepFunction, mu: MeasureTree, tol: float = 1e-9) -> float:
+def atb_upper_bound(f: StepFunction, mu: MeasureTree) -> float:
     """Certified upper bound sum_I |<f, h_I>| mu(I)^(1/2) for the atomic-block
     norm of a function with zero root mean (each Haar term is its own block).
     """
     spec = analyze(f, mu)
     scale = max(float(np.max(np.abs(f.values))), 1.0)
-    if abs(spec.mean) > tol * scale:
+    if abs(spec.mean) > TOL * scale:
         raise NormError(f"atomic upper bound needs zero root mean, got {spec.mean}")
     n = 1 << mu.depth
     weights = np.sqrt(mu.mass_heap[1:n])

@@ -115,7 +115,10 @@ def cmd_measure(args) -> int:
         return EXIT_OK
     # inspect
     mu = _load_measure(args.file)
-    rep = mu.balanced_constant()
+    try:
+        rep = mu.balanced_constant()
+    except MeasureError as exc:
+        raise CliError(EXIT_INPUT, f"invalid measure: {exc}")
     root_b = float(np.sqrt(rep.balanced_constant))
     sandwich_ok = root_b <= rep.bal_form_constant <= 4 * root_b
     print(f"depth {mu.depth}")

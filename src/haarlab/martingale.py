@@ -139,10 +139,7 @@ def haar_constant(mu: MeasureTree, node: Node) -> float:
     """c_I = sqrt(mu(I-) mu(I+) / mu(I))."""
     if mu.tree.is_leaf(node):
         raise TreeError(f"no Haar function at leaf {node}")
-    p = mu.tree.heap(node)
-    return float(
-        np.sqrt(mu.mass_heap[2 * p] * mu.mass_heap[2 * p + 1] / mu.mass_heap[p])
-    )
+    return float(mu.haar_constant_heap[mu.tree.heap(node)])
 
 
 def haar_function(mu: MeasureTree, node: Node) -> StepFunction:
@@ -174,11 +171,10 @@ def analyze(f: StepFunction, mu: MeasureTree) -> HaarSpectrum:
     _check_compat(f, mu)
     n = 1 << mu.depth
     avg = average_heap(f, mu)
-    c = mu.haar_constant_heap()
+    c = mu.haar_constant_heap
     coeffs = np.empty(n, dtype=np.float64)
-    coeffs[0] = np.nan
-    coeffs[1:] = c[1:] * (avg[2 : 2 * n : 2] - avg[3 : 2 * n : 2])
     coeffs[0] = 0.0
+    coeffs[1:] = c[1:] * (avg[2 : 2 * n : 2] - avg[3 : 2 * n : 2])
     return HaarSpectrum(mu.depth, float(avg[1]), coeffs)
 
 
@@ -189,7 +185,7 @@ def synthesize(spec: HaarSpectrum, mu: MeasureTree) -> StepFunction:
     n = 1 << mu.depth
     acc = np.empty(2 * n, dtype=np.float64)
     acc[1] = spec.mean
-    c = mu.haar_constant_heap()
+    c = mu.haar_constant_heap
     for k in range(mu.depth):
         lo, hi = 1 << k, 1 << (k + 1)
         step = spec.coeffs[lo:hi] * c[lo:hi]
@@ -205,7 +201,7 @@ def square_function(f: StepFunction, mu: MeasureTree) -> StepFunction:
     spec = analyze(f, mu)
     n = 1 << mu.depth
     acc = np.zeros(2 * n, dtype=np.float64)
-    c = mu.haar_constant_heap()
+    c = mu.haar_constant_heap
     for k in range(mu.depth):
         lo, hi = 1 << k, 1 << (k + 1)
         step = spec.coeffs[lo:hi] * c[lo:hi]
@@ -224,7 +220,7 @@ def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:
     n = 1 << mu.depth
     tree = mu.tree
     out = np.zeros((n - 1, n))
-    c = mu.haar_constant_heap()
+    c = mu.haar_constant_heap
     for p in range(1, n):
         node = tree.node_at(p)
         left, right = tree.children(node)

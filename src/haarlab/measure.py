@@ -34,7 +34,11 @@ class BalanceReport:
 
 
 class MeasureTree:
-    """Leaf masses plus cached per-node aggregate masses."""
+    """Leaf masses plus read-only heaps of the per-node quantities:
+    mass_heap holds mu(I) over every node; min_child_heap holds
+    m(I) = min(mu(I-), mu(I+)) and haar_constant_heap holds
+    c_I = sqrt(mu(I-) mu(I+) / mu(I)) over internal nodes (slot 0 is NaN).
+    """
 
     def __init__(self, tree: DyadicTree, leaf_masses) -> None:
         masses = np.asarray(leaf_masses, dtype=np.float64)
@@ -44,11 +48,19 @@ class MeasureTree:
             )
         if not np.all(np.isfinite(masses) & (masses > 0)):
             raise MeasureError("all leaf masses must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            mass_heap = aggregate_heap(tree.depth, masses)
+        if not np.isfinite(mass_heap[1]):
+            raise MeasureError("the total of the leaf masses is not finite")
+        n = tree.n_leaves
+        left, right = mass_heap[2 : 2 * n : 2], mass_heap[3 : 2 * n : 2]
         self.tree = tree
         self.leaf_masses = masses
-        self.leaf_masses.setflags(write=False)
-        self.mass_heap = aggregate_heap(tree.depth, masses)
-        self.mass_heap.setflags(write=False)
+        self.mass_heap = mass_heap
+        self.min_child_heap = np.append(np.nan, np.minimum(left, right))
+        self.haar_constant_heap = np.append(np.nan, np.sqrt(left * right / mass_heap[1:n]))
+        for heap in (masses, mass_heap, self.min_child_heap, self.haar_constant_heap):
+            heap.setflags(write=False)
 
     @property
     def depth(self) -> int:
@@ -65,28 +77,7 @@ class MeasureTree:
         """m(I): the smaller of the two child masses."""
         if self.tree.is_leaf(node):
             raise TreeError(f"min_child_mass undefined on leaf {node}")
-        p = self.tree.heap(node)
-        return float(min(self.mass_heap[2 * p], self.mass_heap[2 * p + 1]))
-
-    def min_child_heap(self) -> np.ndarray:
-        """Heap array of m(I) over internal nodes (length 2**depth)."""
-        n = 1 << self.depth
-        left = self.mass_heap[2:2 * n:2]
-        right = self.mass_heap[3:2 * n:2]
-        m = np.empty(n, dtype=np.float64)
-        m[0] = np.nan
-        m[1:] = np.minimum(left, right)
-        return m
-
-    def haar_constant_heap(self) -> np.ndarray:
-        """Heap array of c_I = sqrt(mu(I-) mu(I+) / mu(I)) over internal nodes."""
-        n = 1 << self.depth
-        left = self.mass_heap[2:2 * n:2]
-        right = self.mass_heap[3:2 * n:2]
-        c = np.empty(n, dtype=np.float64)
-        c[0] = np.nan
-        c[1:] = np.sqrt(left * right / self.mass_heap[1:n])
-        return c
+        return float(self.min_child_heap[self.tree.heap(node)])
 
     def doubling_ratio(self) -> float:
         """max mu(parent)/mu(child) over all nodes below the root."""
@@ -98,7 +89,7 @@ class MeasureTree:
         if self.depth < 2:
             raise MeasureError("balance diagnostics need depth >= 2")
         n = 1 << self.depth
-        m = self.min_child_heap()
+        m = self.min_child_heap
         # parent/child min-child-mass ratios over internal, non-root nodes
         pos = np.arange(2, n)
         ratios = np.maximum(m[pos] / m[pos // 2], m[pos // 2] / m[pos])
@@ -106,7 +97,7 @@ class MeasureTree:
         b = float(ratios[worst])
         argmax = self.tree.node_at(int(pos[worst]))
 
-        c = self.haar_constant_heap()
+        c = self.haar_constant_heap
         # pairs (Q internal, R internal child of Q)
         q_pos = pos // 2
         form = 2.0 * c[q_pos] * c[pos] * (1.0 / m[pos] + 1.0 / m[q_pos])
@@ -142,11 +133,7 @@ class MeasureTree:
 
 
 def from_split_fractions(
-    depth: int,
-    left_fractions: np.ndarray,
-    root_mass: float = 1.0,
-    root_origin: float = 0.0,
-    root_length: float = 1.0,
+    depth: int, left_fractions: np.ndarray, root_mass: float = 1.0
 ) -> MeasureTree:
     """Build a measure from the left-child mass fraction of each internal node.
 
@@ -167,14 +154,12 @@ def from_split_fractions(
         lo, hi = 1 << k, 1 << (k + 1)
         heap[2 * lo : 2 * hi : 2] = heap[lo:hi] * fr[lo:hi]
         heap[2 * lo + 1 : 2 * hi : 2] = heap[lo:hi] * (1.0 - fr[lo:hi])
-    tree = DyadicTree(depth, root_origin, root_length)
-    return MeasureTree(tree, heap[n:])
+    return MeasureTree(DyadicTree(depth), heap[n:])
 
 
-def lebesgue(depth: int, root_mass: float = 1.0) -> MeasureTree:
+def lebesgue(depth: int) -> MeasureTree:
     """Even split everywhere: the dyadic analogue of Lebesgue measure."""
-    n = 1 << depth
-    return from_split_fractions(depth, np.full(n, 0.5), root_mass)
+    return from_split_fractions(depth, np.full(1 << depth, 0.5))
 
 
 def random_doubling(

@@ -145,30 +145,33 @@ def h1_norm(f: StepFunction, mu: MeasureTree) -> float:
     return lp_norm(square_function(f, mu), mu, 1.0)
 
 
-def sibling_lemma_check(
-    mu: MeasureTree, node: Node, f: StepFunction, tol: float = 1e-12
-) -> tuple[bool, float]:
-    """Check |<f>_{I-} - <f>_{I+}| <= 2 |<f>_{small child} - <f>_I| + tol,
-    where the hypothesis requires the *other* child to carry at least half
-    of mu(I).  Returns (holds, slack = RHS - LHS).
+# slack added to the right-hand side of the sibling lemma, for rounding
+SIBLING_TOL = 1e-12
+
+
+def sibling_slacks(f: StepFunction, mu: MeasureTree) -> np.ndarray:
+    """Heap of the sibling-lemma slack over internal nodes I (slot 0 is NaN):
+    2 |<f>_A - <f>_I| + SIBLING_TOL - |<f>_{I-} - <f>_{I+}|, where the anchor
+    A is the child whose sibling carries at least half of mu(I): I- when
+    mu(I+) >= mu(I)/2, else I+.  Such a sibling always exists, because mu(I)
+    is the rounded sum of the two child masses.
     """
-    tree = mu.tree
-    if tree.is_leaf(node):
-        raise TreeError(f"sibling check needs an internal node, got {node}")
-    left, right = tree.children(node)
-    half = 0.5 * mu.mass(node)
-    if mu.mass(right) >= half:
-        anchor = left
-    elif mu.mass(left) >= half:
-        anchor = right
-    else:  # impossible: the two children sum to mu(I)
-        raise NormError("neither child carries half of the parent mass")
+    n = 1 << mu.depth
     avg = average_heap(f, mu)
-    t = tree.heap
-    lhs = abs(avg[t(left)] - avg[t(right)])
-    rhs = 2.0 * abs(avg[t(anchor)] - avg[t(node)])
-    slack = rhs + tol - lhs
-    return bool(slack >= 0.0), float(slack)
+    left, right = avg[2 : 2 * n : 2], avg[3 : 2 * n : 2]
+    anchor = np.where(mu.mass_heap[3 : 2 * n : 2] >= 0.5 * mu.mass_heap[1:n], left, right)
+    slack = 2.0 * np.abs(anchor - avg[1:n]) + SIBLING_TOL - np.abs(left - right)
+    return np.append(np.nan, slack)
+
+
+def sibling_lemma_check(mu: MeasureTree, node: Node, f: StepFunction) -> tuple[bool, float]:
+    """Check |<f>_{I-} - <f>_{I+}| <= 2 |<f>_{small child} - <f>_I| + SIBLING_TOL
+    at one internal node.  Returns (holds, slack = RHS - LHS).
+    """
+    if mu.tree.is_leaf(node):
+        raise TreeError(f"sibling check needs an internal node, got {node}")
+    slack = float(sibling_slacks(f, mu)[mu.tree.heap(node)])
+    return slack >= 0.0, slack
 
 
 # --- norm descriptors used by the experiment layer ----------------------

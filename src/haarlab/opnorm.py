@@ -45,9 +45,7 @@ def svd_opnorm(T: Shift, mu: MeasureTree | None = None) -> float:
     return float(scipy.linalg.svdvals(mat)[0]) if mat.size else 0.0
 
 
-def l2_opnorm(
-    T: Shift, mu: MeasureTree, tol: float = 1e-10, seed: int = 0
-) -> OpNormEstimate:
+def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
     """Largest singular value of the Haar-domain matrix via power iteration
     on T*T, with a deterministic seeded start and an iteration cap of
     10 * 2**depth.  Non-convergence is flagged, never raised.
@@ -56,8 +54,7 @@ def l2_opnorm(
         raise ValueError(f"tolerance must be positive, got {tol}")
     mat = haar_matrix(T, mu)
     n = mat.shape[0]
-    rng = np.random.default_rng(seed)
-    v = np.ones(n) + 0.01 * rng.standard_normal(n)
+    v = np.ones(n) + 0.01 * np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     cap = 10 * (1 << T.depth)
     sigma_old = np.inf

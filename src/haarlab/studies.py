@@ -129,7 +129,12 @@ def default_shift_battery(depth: int) -> dict[str, Shift]:
     return battery
 
 
-def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator, cap: int = 48):
+# deep nodes sampled per probe or block battery, and random blocks per battery
+DEEP_NODE_SAMPLE = 48
+N_RANDOM_BLOCKS = 10
+
+
+def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator):
     """All shallow nodes plus a seeded sample of deeper ones."""
     tree = mu.tree
     shallow_max = min(4, tree.depth)
@@ -140,7 +145,7 @@ def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator, cap: int = 48):
         for j in range(1 << k)
     ]
     if deep:
-        picks = rng.choice(len(deep), size=min(cap, len(deep)), replace=False)
+        picks = rng.choice(len(deep), size=min(DEEP_NODE_SAMPLE, len(deep)), replace=False)
         nodes.extend(deep[int(i)] for i in sorted(picks))
     return nodes
 
@@ -160,9 +165,7 @@ def probe_battery(
     return probes
 
 
-def block_battery(
-    mu: MeasureTree, seed: int, n_blocks: int = 10
-) -> list[AtomicBlock]:
+def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
     """Canonical Haar blocks plus random validated multi-subatom blocks."""
     rng = np.random.default_rng([seed, mu.depth, 7])
     blocks = [
@@ -170,7 +173,7 @@ def block_battery(
         for node in _sampled_nodes(mu, rng)
         if node.level < mu.depth
     ]
-    for t in range(n_blocks):
+    for t in range(N_RANDOM_BLOCKS):
         trng = np.random.default_rng([seed, mu.depth, 7, t])
         base = int(trng.integers(0, mu.depth))
         b = random_block(mu, base, int(trng.integers(2, 6)), trng)

@@ -112,3 +112,87 @@ def test_no_unreferenced_definitions():
         if p.parent != SRC
     ]
     assert unreferenced_definitions(defining, others) == []
+
+
+def _call_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(call name, line, parameter, position or None) for every defaulted
+    parameter.  A method's bound first argument is not counted as a position,
+    and `__init__` is called by its class name."""
+    for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        body = tree.body if cls is None else cls.body
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = 1 if cls is not None and not static else 0
+            positional = [*fn.args.posonlyargs, *fn.args.args][bound:]
+            name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(fn.args.defaults):
+                    yield name, fn.lineno, arg.arg, i
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, fn.lineno, arg.arg, None
+
+
+def unpassed_defaults(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Defaulted parameters of functions in `defining` (file name -> source)
+    that no call in `defining` or `others` passes, by keyword or by position.
+    Calls match by bare or attribute name; a call with *args or **kwargs
+    passes every parameter."""
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    passed: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or _call_name(call) is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            n_pos = float("inf") if starred else len(call.args)
+            passed.setdefault(_call_name(call), []).append(
+                (n_pos, {k.arg for k in call.keywords})
+            )
+    return sorted(
+        f"{file}:{line} {name}({param})"
+        for file, tree in trees.items()
+        for name, line, param, pos in _defaulted_parameters(tree)
+        if not any(
+            param in keys or n_pos == float("inf") or (pos is not None and n_pos > pos)
+            for n_pos, keys in passed.get(name, [])
+        )
+    )
+
+
+def test_checker_flags_an_unpassed_default():
+    defining = {
+        "m.py": "class A:\n    def __init__(self, x, y=1): pass\n"
+        "    def run(self, a, b=2, *, c=3): pass\n"
+        "def f(p, q=1, r=2): pass\ndef g(s=0): pass\ndef h(t=0): pass\n",
+    }
+    others = [
+        "from m import A, f, g, h\nA(0).run(1, c=4)\nf(0, 1)\nargs = ()\n"
+        "g(*args)\nh\n",
+    ]
+    assert unpassed_defaults(defining, others) == [
+        "m.py:2 A(y)", "m.py:3 run(b)", "m.py:4 f(r)", "m.py:6 h(t)",
+    ]
+
+
+def test_no_unpassed_defaults():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text()
+        for d in REFERENCE_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p.parent != SRC
+    ]
+    assert unpassed_defaults(defining, others) == []

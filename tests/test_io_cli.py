@@ -166,6 +166,12 @@ def test_cli_measure_gen_and_inspect(tmp_path, capsys):
     assert main(["measure", "inspect", str(mu_path)]) == 0
     out = capsys.readouterr().out
     assert "sandwich ok" in out
+    # a depth-1 measure has no balance diagnostics: an input error, one line
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps({"depth": 1, "leaf_masses": [1.0, 2.0]}))
+    assert main(["measure", "inspect", str(shallow)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid measure: balance diagnostics need depth >= 2\n"
 
 
 def test_cli_measure_gen_bad_kind(tmp_path):
@@ -327,6 +333,15 @@ def test_cli_rejects_non_finite_files(tmp_path):
     assert main(["measure", "inspect", str(inf_mu)]) == 2
     assert main(
         ["norm", "--function", str(f_path), "--measure", str(inf_mu), "--norm", "bmo"]
+    ) == 2
+    # finite masses whose total overflows: input errors too
+    big_mu = tmp_path / "big_mu.json"
+    obj = json.loads(mu_path.read_text())
+    obj["leaf_masses"][:2] = [1e308, 1e308]
+    big_mu.write_text(json.dumps(obj))
+    assert main(["measure", "inspect", str(big_mu)]) == 2
+    assert main(
+        ["norm", "--function", str(f_path), "--measure", str(big_mu), "--norm", "bmo"]
     ) == 2
     # a NaN leaf value: norm and apply are input errors
     assert main(

@@ -36,6 +36,9 @@ def test_constructor_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(MeasureError):
             MeasureTree(tree, np.array([1.0] * 7 + [bad]))
+    # finite leaf masses whose total overflows
+    with pytest.raises(MeasureError, match="not finite"):
+        MeasureTree(DyadicTree(1), [1e308, 1e308])
 
 
 def test_split_fraction_validation():
@@ -58,18 +61,32 @@ def test_lebesgue_is_even():
     assert mu.doubling_ratio() == pytest.approx(2.0)
 
 
+def _heap_measures():
+    """random_doubling(4, seed=9), every generator family at depths 1-10,
+    and leaf masses spread over 1e-8..1 at the same depths."""
+    yield random_doubling(4, seed=9)
+    rng = np.random.default_rng(17)
+    for depth in range(1, 11):
+        yield from (gen(depth) for gen in GENERATORS.values())
+        yield MeasureTree(DyadicTree(depth), 10.0 ** rng.uniform(-8.0, 0.0, 1 << depth))
+
+
 def test_min_child_and_haar_constant_heaps():
-    mu = random_doubling(4, seed=9)
-    m = mu.min_child_heap()
-    c = mu.haar_constant_heap()
-    for node in mu.tree.internal_nodes():
-        p = mu.tree.heap(node)
-        left, right = mu.tree.children(node)
-        ml, mr = mu.mass(left), mu.mass(right)
-        assert m[p] == pytest.approx(min(ml, mr))
-        assert c[p] == pytest.approx(np.sqrt(ml * mr / mu.mass(node)))
-        # c_I^2 in [m/2, m]
-        assert m[p] / 2 <= c[p] ** 2 <= m[p] * (1 + 1e-12)
+    for i, mu in enumerate(_heap_measures()):
+        m = mu.min_child_heap
+        c = mu.haar_constant_heap
+        for node in mu.tree.internal_nodes():
+            p = mu.tree.heap(node)
+            left, right = mu.tree.children(node)
+            ml, mr = mu.mass(left), mu.mass(right)
+            assert m[p] == pytest.approx(min(ml, mr))
+            assert c[p] == pytest.approx(np.sqrt(ml * mr / mu.mass(node)))
+            if i == 0:  # even splits meet m/2 exactly, so rounding may cross it
+                # c_I^2 in [m/2, m]
+                assert m[p] / 2 <= c[p] ** 2 <= m[p] * (1 + 1e-12)
+            # each entry is the formula itself, bit for bit
+            assert m[p] == min(ml, mr) == mu.min_child_mass(node)
+            assert c[p] == np.sqrt(ml * mr / mu.mass(node))
 
 
 def test_geometric_unbalanced_grows():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from haarlab import verify
 from haarlab.martingale import StepFunction, average_heap, haar_function, square_function
 from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import (
@@ -150,6 +151,73 @@ def test_sibling_lemma_property(masses, values):
     for node in mu.tree.internal_nodes():
         holds, _ = sibling_lemma_check(mu, node, f)
         assert holds
+
+
+# The sibling check as it was before the slacks became one heap, copied
+# verbatim as the reference: one average_heap per node.
+def _ref_sibling_lemma_check(
+    mu: MeasureTree, node: Node, f: StepFunction, tol: float = 1e-12
+) -> tuple[bool, float]:
+    """Check |<f>_{I-} - <f>_{I+}| <= 2 |<f>_{small child} - <f>_I| + tol,
+    where the hypothesis requires the *other* child to carry at least half
+    of mu(I).  Returns (holds, slack = RHS - LHS).
+    """
+    tree = mu.tree
+    if tree.is_leaf(node):
+        raise TreeError(f"sibling check needs an internal node, got {node}")
+    left, right = tree.children(node)
+    half = 0.5 * mu.mass(node)
+    if mu.mass(right) >= half:
+        anchor = left
+    elif mu.mass(left) >= half:
+        anchor = right
+    else:  # impossible: the two children sum to mu(I)
+        raise NormError("neither child carries half of the parent mass")
+    avg = average_heap(f, mu)
+    t = tree.heap
+    lhs = abs(avg[t(left)] - avg[t(right)])
+    rhs = 2.0 * abs(avg[t(anchor)] - avg[t(node)])
+    slack = rhs + tol - lhs
+    return bool(slack >= 0.0), float(slack)
+
+
+def _assert_sibling_matches_reference(mu, f):
+    for node in mu.tree.internal_nodes():
+        assert sibling_lemma_check(mu, node, f) == _ref_sibling_lemma_check(mu, node, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(depth=st.integers(1, 6), data=st.data())
+def test_sibling_lemma_matches_reference_property(depth, data):
+    n = 1 << depth
+    masses = data.draw(arrays(np.float64, n, elements=st.floats(1e-8, 1e2)))
+    values = data.draw(arrays(np.float64, n, elements=st.floats(-1e5, 1e5)))
+    mu = MeasureTree(DyadicTree(depth), masses)
+    _assert_sibling_matches_reference(mu, StepFunction(depth, values))
+
+
+@pytest.mark.parametrize("depth", range(2, 9))
+def test_sibling_lemma_matches_reference_on_families(depth):
+    for kind in GENERATORS:
+        mu = generate(kind, depth, seed=depth)
+        for f in _pinning_functions(depth):
+            _assert_sibling_matches_reference(mu, f)
+
+
+def test_check_sibling_names_the_first_bad_node(monkeypatch):
+    def two_violations(f, mu):
+        slack = np.ones(1 << mu.depth)
+        slack[0] = np.nan  # slot 0 is no node
+        slack[2], slack[3] = -0.5, -2.0
+        return slack
+
+    monkeypatch.setattr(verify, "sibling_slacks", two_violations)
+    res = verify.check_sibling(6, 5, 7)
+    assert not res.passed
+    assert res.detail == "violated at 1,0, slack -5.000e-01"
+    # a NaN slack is a violation too
+    monkeypatch.setattr(verify, "sibling_slacks", lambda f, mu: np.full(1 << mu.depth, np.nan))
+    assert verify.check_sibling(6, 5, 7).detail == "violated at 0,0, slack nan"
 
 
 def test_inner_product_symmetric(mu):
