@@ -216,7 +216,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(depth=args.depth, trials=args.trials, seed=args.seed)
+    try:
+        results = run_verification(depth=args.depth, trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(EXIT_PARAM, f"invalid verify config: {exc}")
     failures = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -1,17 +1,33 @@
 """Step functions, conditional expectations, and the measure-adapted Haar basis.
 
-Analysis and synthesis run in O(2**depth) per call via heap aggregation;
-no dense inner products are formed.
+Analysis and synthesis run in O(2**depth) per function via heap
+aggregation; no dense inner products are formed.
+
+The probe axis: the transforms (`average_rows`, `analyze_rows`,
+`synthesize_rows`, `square_function_rows`) work along the last axis of a
+(P, 2**depth) array whose rows are P functions, and do each level step for
+all rows in one numpy call.  Every row goes through exactly the adds and
+multiplies of a single function, so its result is bit-identical to the
+one-function result.  The one-function API (`StepFunction`, `HaarSpectrum`,
+`analyze`, `synthesize`, ...) passes its single row as a 1-d array, which
+the same code takes as a batch without the leading axis.  Callers with many
+functions stack them and walk the stack in chunks (`row_chunks`,
+`stack_chunks`) of at most CHUNK_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .measure import MeasureTree
-from .tree import DyadicTree, Node, TreeError, aggregate_heap, leaf_broadcast
+from .tree import DyadicTree, Node, TreeError, aggregate, leaf_broadcast
+
+# bytes of one chunk of float64 rows in `row_chunks` and `stack_chunks`
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -97,14 +113,49 @@ def _check_compat(f: StepFunction, mu: MeasureTree) -> None:
         raise TreeError(f"function depth {f.depth} != measure depth {mu.depth}")
 
 
+def _check_rows(F: np.ndarray, mu: MeasureTree) -> None:
+    if F.shape[-1:] != (1 << mu.depth,):
+        raise TreeError(f"expected rows of {1 << mu.depth} values, got shape {F.shape}")
+
+
+def _chunk_rows(depth: int) -> int:
+    """Rows of 2**depth float64 values that fit in CHUNK_BYTES (at least 1)."""
+    return max(1, CHUNK_BYTES // (8 << depth))
+
+
+def row_chunks(n_rows: int, depth: int) -> Iterator[slice]:
+    """Consecutive slices covering n_rows rows, one chunk each."""
+    step = _chunk_rows(depth)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
+
+def stack_chunks(functions: Iterable[StepFunction], depth: int) -> Iterator[np.ndarray]:
+    """The values of `functions` in order, stacked one chunk of rows at a time."""
+    functions = iter(functions)
+    while chunk := [f.values for f in islice(functions, _chunk_rows(depth))]:
+        yield np.stack(chunk)
+
+
+def first_max(values: np.ndarray) -> int:
+    """Index of the first maximum, where a NaN never wins: the element a
+    running `if v > best` fold over `values` in order would end on."""
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
+def average_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """Heap of averages of every row of F: (..., 2**depth) ->
+    (..., 2**(depth+1))."""
+    _check_rows(F, mu)
+    ints = aggregate(mu.depth, F * mu.leaf_masses)
+    ints[..., 1:] /= mu.mass_heap[1:]
+    return ints
+
+
 def average_heap(f: StepFunction, mu: MeasureTree) -> np.ndarray:
     """Heap of averages of f over every node."""
     _check_compat(f, mu)
-    ints = aggregate_heap(mu.depth, f.values * mu.leaf_masses)
-    out = np.empty_like(ints)
-    out[0] = np.nan
-    out[1:] = ints[1:] / mu.mass_heap[1:]
-    return out
+    return average_rows(f.values, mu)
 
 
 def average(f: StepFunction, mu: MeasureTree, node: Node) -> float:
@@ -166,52 +217,73 @@ def haar_linf_norm(mu: MeasureTree, node: Node) -> float:
     return haar_constant(mu, node) / mu.min_child_mass(node)
 
 
+def analyze_rows(F: np.ndarray, mu: MeasureTree) -> tuple[np.ndarray, np.ndarray]:
+    """Means (...) and coefficient heaps (..., 2**depth) of the rows of F;
+    coeff(I) = c_I (<f>_{I-} - <f>_{I+}) and slot 0 is 0."""
+    n = 1 << mu.depth
+    avg = average_rows(F, mu)
+    coeffs = np.empty(F.shape, dtype=np.float64)
+    coeffs[..., 0] = 0.0
+    np.multiply(
+        mu.haar_constant_heap[1:], avg[..., 2 : 2 * n : 2] - avg[..., 3 : 2 * n : 2],
+        out=coeffs[..., 1:],
+    )
+    return avg[..., 1].copy(), coeffs
+
+
 def analyze(f: StepFunction, mu: MeasureTree) -> HaarSpectrum:
     """Haar coefficients of f: coeff(I) = c_I (<f>_{I-} - <f>_{I+})."""
     _check_compat(f, mu)
+    mean, coeffs = analyze_rows(f.values, mu)
+    return HaarSpectrum(mu.depth, float(mean), coeffs)
+
+
+def synthesize_rows(means: float | np.ndarray, coeffs: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """Inverse transform of every row of coefficient heaps: mean + sum of
+    coeff(I) h_I, computed top-down.  `means` broadcasts against the rows."""
+    _check_rows(coeffs, mu)
     n = 1 << mu.depth
-    avg = average_heap(f, mu)
-    c = mu.haar_constant_heap
-    coeffs = np.empty(n, dtype=np.float64)
-    coeffs[0] = 0.0
-    coeffs[1:] = c[1:] * (avg[2 : 2 * n : 2] - avg[3 : 2 * n : 2])
-    return HaarSpectrum(mu.depth, float(avg[1]), coeffs)
+    acc = np.empty(coeffs.shape[:-1] + (2 * n,), dtype=np.float64)
+    acc[..., 1] = means
+    c, mass = mu.haar_constant_heap, mu.mass_heap
+    for k in range(mu.depth):
+        lo, hi = 1 << k, 1 << (k + 1)
+        step = coeffs[..., lo:hi] * c[lo:hi]
+        parent = acc[..., lo:hi]
+        np.add(parent, step / mass[2 * lo : 2 * hi : 2], out=acc[..., 2 * lo : 2 * hi : 2])
+        np.subtract(
+            parent, step / mass[2 * lo + 1 : 2 * hi : 2], out=acc[..., 2 * lo + 1 : 2 * hi : 2]
+        )
+    return acc[..., n:]
 
 
 def synthesize(spec: HaarSpectrum, mu: MeasureTree) -> StepFunction:
     """Inverse transform: mean + sum of coeff(I) h_I, computed top-down."""
     if spec.depth != mu.depth:
         raise TreeError(f"spectrum depth {spec.depth} != measure depth {mu.depth}")
+    return StepFunction(mu.depth, synthesize_rows(spec.mean, spec.coeffs, mu))
+
+
+def square_function_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """Pointwise (sum_I coeff(I)^2 h_I(x)^2)^(1/2) of every row of F,
+    accumulated top-down."""
+    _, coeffs = analyze_rows(F, mu)
     n = 1 << mu.depth
-    acc = np.empty(2 * n, dtype=np.float64)
-    acc[1] = spec.mean
-    c = mu.haar_constant_heap
+    acc = np.zeros(F.shape[:-1] + (2 * n,), dtype=np.float64)
+    c, mass = mu.haar_constant_heap, mu.mass_heap
     for k in range(mu.depth):
         lo, hi = 1 << k, 1 << (k + 1)
-        step = spec.coeffs[lo:hi] * c[lo:hi]
-        acc[2 * lo : 2 * hi : 2] = acc[lo:hi] + step / mu.mass_heap[2 * lo : 2 * hi : 2]
-        acc[2 * lo + 1 : 2 * hi : 2] = (
-            acc[lo:hi] - step / mu.mass_heap[2 * lo + 1 : 2 * hi : 2]
-        )
-    return StepFunction(mu.depth, acc[n:])
+        step = coeffs[..., lo:hi] * c[lo:hi]
+        parent = acc[..., lo:hi]
+        acc[..., 2 * lo : 2 * hi : 2] = parent + (step / mass[2 * lo : 2 * hi : 2]) ** 2
+        acc[..., 2 * lo + 1 : 2 * hi : 2] = parent + (step / mass[2 * lo + 1 : 2 * hi : 2]) ** 2
+    return np.sqrt(acc[..., n:])
 
 
 def square_function(f: StepFunction, mu: MeasureTree) -> StepFunction:
     """Pointwise (sum_I coeff(I)^2 h_I(x)^2)^(1/2), accumulated top-down."""
-    spec = analyze(f, mu)
-    n = 1 << mu.depth
-    acc = np.zeros(2 * n, dtype=np.float64)
-    c = mu.haar_constant_heap
-    for k in range(mu.depth):
-        lo, hi = 1 << k, 1 << (k + 1)
-        step = spec.coeffs[lo:hi] * c[lo:hi]
-        acc[2 * lo : 2 * hi : 2] = (
-            acc[lo:hi] + (step / mu.mass_heap[2 * lo : 2 * hi : 2]) ** 2
-        )
-        acc[2 * lo + 1 : 2 * hi : 2] = (
-            acc[lo:hi] + (step / mu.mass_heap[2 * lo + 1 : 2 * hi : 2]) ** 2
-        )
-    return StepFunction(mu.depth, np.sqrt(acc[n:]))
+    _check_compat(f, mu)
+    return StepFunction(mu.depth, square_function_rows(f.values, mu))
 
 
 def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:

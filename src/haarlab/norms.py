@@ -2,7 +2,10 @@
 its oscillation characterization, martingale Lipschitz semi-norms, and H1.
 
 Everything is exact leafwise summation; suprema over dyadic nodes return a
-witness node where the supremum is attained.
+witness node where the supremum is attained.  Each norm has one
+implementation on the probe axis (`lp_rows`, `bmo_rows`, ...: one value per
+row of a (P, 2**depth) array, see `martingale`); the one-function forms
+(`lp_norm`, `bmo_martingale`, ...) evaluate a one-row batch.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import numpy as np
 from .martingale import (
     StepFunction,
     average_heap,
+    average_rows,
     haar_constant,
-    square_function,
+    square_function_rows,
 )
 from .measure import MeasureTree
 from . import tree as _tree
-from .tree import Node, TreeError, leaf_broadcast, level_sums
+from .tree import Node, TreeError, level_sums
 
 # The norms sum levels with `level_sums`.  `aggregate_heap` stays bound here
 # because the benchmark tracer rebinds it in every haarlab module that holds
@@ -39,58 +43,123 @@ class NormValue:
     witness_node: Node | None = None
 
 
-def lp_norm(f: StepFunction, mu: MeasureTree, p: float) -> float:
+def lp_rows(F: np.ndarray, mu: MeasureTree, p: float) -> np.ndarray:
+    """The Lp(mu) norm of every row of F (..., 2**depth)."""
     if not p >= 1:
         raise NormError(f"p must be >= 1, got {p}")
-    if np.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    return float(np.sum(np.abs(f.values) ** p * mu.leaf_masses) ** (1.0 / p))
+    if p == np.inf:
+        return np.maximum.reduce(np.abs(F), axis=-1)
+    sums = np.add.reduce(np.abs(F) ** p * mu.leaf_masses, axis=-1)
+    # the root is a scalar pow per row: numpy's array pow rounds differently
+    # from its scalar pow in the last bit on a few percent of inputs
+    if sums.ndim:
+        return np.array([s ** (1.0 / p) for s in sums])
+    return sums ** (1.0 / p)
+
+
+def lp_norm(f: StepFunction, mu: MeasureTree, p: float) -> float:
+    return float(lp_rows(f.values, mu, p))
 
 
 def inner_product(f: StepFunction, g: StepFunction, mu: MeasureTree) -> float:
     return float(np.sum(f.values * g.values * mu.leaf_masses))
 
 
+def weak_l1_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """sup over attained levels v of v * mu{|f| >= v} for every row f of F;
+    exact on step functions."""
+    absvals = np.abs(F)
+    order = np.argsort(absvals, axis=-1)[..., ::-1]
+    sorted_vals = np.take_along_axis(absvals, order, axis=-1)
+    cum_mass = np.cumsum(mu.leaf_masses[order], axis=-1)
+    return np.max(sorted_vals * cum_mass, axis=-1, initial=0.0)
+
+
 def weak_l1(f: StepFunction, mu: MeasureTree) -> float:
     """sup over attained levels v of v * mu{|f| >= v}; exact on step functions."""
-    absvals = np.abs(f.values)
-    order = np.argsort(absvals)[::-1]
-    sorted_vals = absvals[order]
-    cum_mass = np.cumsum(mu.leaf_masses[order])
-    return float(np.max(sorted_vals * cum_mass, initial=0.0))
+    return float(weak_l1_rows(f.values, mu))
 
 
-def _level_deviations(f: StepFunction, mu: MeasureTree, avg: np.ndarray, up: int):
-    """Per level k: (k, leafwise |f - <f>_A|, masses of the level-k nodes),
-    where A is the ancestor `up` levels above (the root where none is)."""
+def _level_deviations(F: np.ndarray, mu: MeasureTree, avg: np.ndarray, up: int):
+    """Per level k: (k, leafwise |f - <f>_A| for every row f of F, masses of
+    the level-k nodes), where A is the ancestor `up` levels above (the root
+    where none is).  `avg` holds the rows' average heaps.  The deviations
+    share one buffer: the caller may overwrite it, and the next level does."""
+    dev = np.empty(F.shape)
     for k in range(mu.depth + 1):
         a = max(k - up, 0)
-        dev = np.abs(f.values - leaf_broadcast(mu.depth, avg[1 << a : 2 << a], a))
-        yield k, dev, mu.mass_heap[1 << k : 2 << k]
+        shape = F.shape[:-1] + (1 << a, -1)  # the leaves under each level-a node
+        np.subtract(F.reshape(shape), avg[..., 1 << a : 2 << a, None], out=dev.reshape(shape))
+        yield k, np.abs(dev, out=dev), mu.mass_heap[1 << k : 2 << k]
+
+
+def _winnable(level_maxima: np.ndarray) -> np.ndarray:
+    """The level maxima a running fold `if m > best: best = m` from best = 0.0
+    can pick; NaN and non-positive maxima become 0.0.  The fold's result is
+    the max over the last axis, and its first level is the first argmax."""
+    return np.where(level_maxima > 0.0, level_maxima, 0.0)
+
+
+def bmo_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """sup_k || E_k |f - E_{k-1} f| ||_inf for every row f of F, with E_{-1}
+    the root average."""
+    level_maxima = np.empty(F.shape[:-1] + (mu.depth + 1,))
+    for k, dev, mass in _level_deviations(F, mu, average_rows(F, mu), up=1):
+        if k < mu.depth:
+            dev *= mu.leaf_masses
+            dev = level_sums(mu.depth, dev, k) / mass
+        level_maxima[..., k] = np.maximum.reduce(dev, axis=-1)
+    return np.maximum.reduce(_winnable(level_maxima), axis=-1)
 
 
 def bmo_martingale(f: StepFunction, mu: MeasureTree) -> float:
     """sup_k || E_k |f - E_{k-1} f| ||_inf, with E_{-1} the root average."""
-    best = 0.0
-    for k, dev, mass in _level_deviations(f, mu, average_heap(f, mu), up=1):
-        if k == mu.depth:
-            level_sup = float(np.max(dev))
-        else:
-            level_sup = float(np.max(level_sums(mu.depth, dev * mu.leaf_masses, k) / mass))
-        best = max(best, level_sup)
-    return best
+    return float(bmo_rows(f.values, mu))
+
+
+def bmo_osc_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """sup_I <|f - <f>_I|>_I plus sup_I |<f>_parent - <f>_I| for every row
+    f of F."""
+    avg = average_rows(F, mu)
+    level_maxima = np.empty(F.shape[:-1] + (mu.depth + 1,))
+    for k, dev, mass in _level_deviations(F, mu, avg, up=0):
+        dev *= mu.leaf_masses
+        level_maxima[..., k] = np.maximum.reduce(level_sums(mu.depth, dev, k) / mass, axis=-1)
+    n = 1 << mu.depth
+    children = avg[..., 2 : 2 * n].reshape(F.shape[:-1] + (n - 1, 2))
+    jump = np.maximum.reduce(np.abs(avg[..., 1:n, None] - children), axis=(-2, -1))
+    return np.maximum.reduce(_winnable(level_maxima), axis=-1) + jump
 
 
 def bmo_oscillation(f: StepFunction, mu: MeasureTree) -> float:
     """sup_I <|f - <f>_I|>_I plus sup_I |<f>_parent - <f>_I|."""
-    avg = average_heap(f, mu)
-    osc = 0.0
-    for k, dev, mass in _level_deviations(f, mu, avg, up=0):
-        osc = max(osc, float(np.max(level_sums(mu.depth, dev * mu.leaf_masses, k) / mass)))
-    n = 1 << mu.depth
-    pos = np.arange(2, 2 * n)
-    jump = float(np.max(np.abs(avg[pos // 2] - avg[pos])))
-    return osc + jump
+    return float(bmo_osc_rows(f.values, mu))
+
+
+def lambda_rows(
+    F: np.ndarray, mu: MeasureTree, q: float, alpha: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The Lambda_q(alpha) semi-norm of every row of F (see `lambda_norm`),
+    and the levels and indices of the rows' witness nodes: the first node of
+    the first level that attains the supremum, or (0, 0) when it is 0."""
+    if q < 1 or not np.isfinite(q):
+        raise NormError(f"q must be a finite real >= 1, got {q}")
+    if not alpha >= 0:
+        raise NormError(f"alpha must be >= 0, got {alpha}")
+    level_maxima = np.empty(F.shape[:-1] + (mu.depth + 1,))
+    argmaxima = np.empty(F.shape[:-1] + (mu.depth + 1,), dtype=np.int64)
+    for k, dev, mass in _level_deviations(F, mu, average_rows(F, mu), up=1):
+        dev **= q
+        dev *= mu.leaf_masses
+        vals = level_sums(mu.depth, dev, k) ** (1.0 / q)
+        vals *= mass ** (-1.0 / q - alpha)
+        # a level holding a NaN has max NaN and never wins, as in a fold
+        level_maxima[..., k] = np.maximum.reduce(vals, axis=-1)
+        argmaxima[..., k] = vals.argmax(axis=-1)
+    best = _winnable(level_maxima)
+    level = best.argmax(axis=-1)  # level 0, the root, when no level wins
+    index = np.take_along_axis(argmaxima, level[..., None], -1)[..., 0]
+    return np.maximum.reduce(best, axis=-1), (level, index)
 
 
 def lambda_norm(
@@ -100,18 +169,8 @@ def lambda_norm(
     sup_Q mu(Q)^(-1/q-alpha) (int_Q |f - <f>_parent|^q dmu)^(1/q),
     with the root acting as its own parent.
     """
-    if q < 1 or not np.isfinite(q):
-        raise NormError(f"q must be a finite real >= 1, got {q}")
-    if not alpha >= 0:
-        raise NormError(f"alpha must be >= 0, got {alpha}")
-    best, witness = 0.0, Node(0, 0)
-    for k, dev, mass in _level_deviations(f, mu, average_heap(f, mu), up=1):
-        dev_int = level_sums(mu.depth, dev**q * mu.leaf_masses, k)
-        vals = dev_int ** (1.0 / q) * mass ** (-1.0 / q - alpha)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, witness = float(vals[j]), Node(k, j)
-    return NormValue(best, witness)
+    value, (level, index) = lambda_rows(f.values, mu, q, alpha)
+    return NormValue(float(value), Node(int(level), int(index)))
 
 
 def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
@@ -140,9 +199,14 @@ def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
     return best
 
 
+def h1_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """L1 norm of the square function of every row of F."""
+    return lp_rows(square_function_rows(F, mu), mu, 1.0)
+
+
 def h1_norm(f: StepFunction, mu: MeasureTree) -> float:
     """L1 norm of the square function."""
-    return lp_norm(square_function(f, mu), mu, 1.0)
+    return float(h1_rows(f.values, mu))
 
 
 # slack added to the right-hand side of the sibling lemma, for rounding
@@ -179,24 +243,24 @@ def sibling_lemma_check(mu: MeasureTree, node: Node, f: StepFunction) -> tuple[b
 
 @dataclass(frozen=True)
 class NormEntry:
-    """How a named norm is evaluated: `evaluate(f, mu, **params)` and the
-    names of the `NormSpec` fields it reads, in label order."""
+    """How a named norm is evaluated on the rows of a (P, 2**depth) array:
+    `rows(F, mu, **params)` returns the P values and, for a norm with witness
+    nodes, the arrays of their levels and indices, else None; `params` names
+    the `NormSpec` fields it reads, in label order."""
 
-    evaluate: Callable[..., NormValue]
+    rows: Callable[..., tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
     params: tuple[str, ...] = ()
 
 
 # The one table of named norms.  `NormSpec`, `haarlab norm` (which spells
-# the names with '-' for '_') and the theorem suites all read it.  Entries
-# call the module-level functions by name, so a rebound function (as the
-# benchmark's tracer installs) is the one that runs.
+# the names with '-' for '_') and the theorem suites all read it.
 NORMS: dict[str, NormEntry] = {
-    "lp": NormEntry(lambda f, mu, p: NormValue(lp_norm(f, mu, p)), ("p",)),
-    "weak_l1": NormEntry(lambda f, mu: NormValue(weak_l1(f, mu))),
-    "bmo": NormEntry(lambda f, mu: NormValue(bmo_martingale(f, mu))),
-    "bmo_osc": NormEntry(lambda f, mu: NormValue(bmo_oscillation(f, mu))),
-    "lambda": NormEntry(lambda f, mu, q, alpha: lambda_norm(f, mu, q, alpha), ("q", "alpha")),
-    "h1": NormEntry(lambda f, mu: NormValue(h1_norm(f, mu))),
+    "lp": NormEntry(lambda F, mu, p: (lp_rows(F, mu, p), None), ("p",)),
+    "weak_l1": NormEntry(lambda F, mu: (weak_l1_rows(F, mu), None)),
+    "bmo": NormEntry(lambda F, mu: (bmo_rows(F, mu), None)),
+    "bmo_osc": NormEntry(lambda F, mu: (bmo_osc_rows(F, mu), None)),
+    "lambda": NormEntry(lambda_rows, ("q", "alpha")),
+    "h1": NormEntry(lambda F, mu: (h1_rows(F, mu), None)),
 }
 
 
@@ -219,10 +283,18 @@ class NormSpec:
             raise NormError(f"unknown norm {self.name!r}")
         return {k: getattr(self, k) for k in NORMS[self.name].params}
 
-    def evaluate(self, f: StepFunction, mu: MeasureTree) -> NormValue:
-        """The norm's value, with a witness node where the norm has one."""
+    def evaluate_rows(self, F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+        """The norm of every row of a (P, 2**depth) array."""
         params = self.params()  # raises NormError for an unknown name
-        return NORMS[self.name].evaluate(f, mu, **params)
+        return NORMS[self.name].rows(F, mu, **params)[0]
+
+    def evaluate(self, f: StepFunction, mu: MeasureTree) -> NormValue:
+        """The norm's value, with a witness node where the norm has one: the
+        one-row case of `evaluate_rows`."""
+        params = self.params()
+        value, witness = NORMS[self.name].rows(f.values, mu, **params)
+        node = None if witness is None else Node(int(witness[0]), int(witness[1]))
+        return NormValue(float(value), node)
 
     def __call__(self, f: StepFunction, mu: MeasureTree) -> float:
         return self.evaluate(f, mu).value

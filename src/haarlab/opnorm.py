@@ -15,10 +15,19 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.linalg
 
-from .martingale import HaarSpectrum, StepFunction, haar_function, synthesize
+from .martingale import (
+    HaarSpectrum,
+    StepFunction,
+    analyze_rows,
+    first_max,
+    haar_function,
+    stack_chunks,
+    synthesize,
+    synthesize_rows,
+)
 from .measure import MeasureTree
 from .norms import NormSpec
-from .shift import Shift, apply_shift, haar_matrix
+from .shift import Shift, haar_matrix
 from .tree import Node
 
 
@@ -92,13 +101,37 @@ def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
     )
 
 
+def _ratio_rows(
+    T: Shift, F: np.ndarray, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
+) -> np.ndarray:
+    """to_norm(T f) / from_norm(f) for every row f of F; -inf where the
+    denominator is 0 or not finite."""
+    denom = from_norm.evaluate_rows(F, mu)
+    _, coeffs = analyze_rows(F, mu)
+    num = to_norm.evaluate_rows(synthesize_rows(0.0, T.apply_rows(coeffs), mu), mu)
+    out = np.full(F.shape[:-1], -np.inf)
+    return np.divide(num, denom, out=out, where=(denom != 0.0) & np.isfinite(denom))
+
+
 def _ratio(
     T: Shift, f: StepFunction, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> float:
-    denom = from_norm(f, mu)
-    if denom == 0.0 or not np.isfinite(denom):
-        return -np.inf
-    return to_norm(apply_shift(T, f, mu), mu) / denom
+    return float(_ratio_rows(T, f.values, mu, from_norm, to_norm))
+
+
+def _best_node_probe(
+    T: Shift, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
+) -> tuple[float, StepFunction | None]:
+    """The first probe of `node_probes` over every node with the largest
+    ratio, and that ratio; (-inf, None) when no ratio beats -inf.  The
+    probes are scored a chunk of rows at a time."""
+    best_val, best_f = -np.inf, None
+    for F in stack_chunks(node_probes(mu, mu.tree.nodes()), mu.depth):
+        vals = _ratio_rows(T, F, mu, from_norm, to_norm)
+        i = first_max(vals)
+        if vals[i] > best_val:
+            best_val, best_f = float(vals[i]), StepFunction(mu.depth, F[i].copy())
+    return best_val, best_f
 
 
 def node_probes(mu: MeasureTree, nodes: Iterable[Node]) -> Iterator[StepFunction]:
@@ -141,11 +174,7 @@ def opnorm_lower_bound(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = 1 << mu.depth
-    best_val, best_f = -np.inf, None
-    for f in node_probes(mu, mu.tree.nodes()):
-        val = _ratio(T, f, mu, from_norm, to_norm)
-        if val > best_val:
-            best_val, best_f = val, f
+    best_val, best_f = _best_node_probe(T, mu, from_norm, to_norm)
 
     def ascend(f: StepFunction, val: float, rng: np.random.Generator):
         scale = max(float(np.max(np.abs(f.values))), 1.0)

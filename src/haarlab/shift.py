@@ -114,12 +114,23 @@ class GeneralShift:
             self._alpha.tolist(),
         ))
 
+    def apply_rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """The coefficient action on every row of (..., 2**depth) coefficient
+        heaps; terms sharing an S add in term order."""
+        if coeffs.shape[-1:] != (1 << self.depth,):
+            raise ShiftError(
+                f"expected rows of {1 << self.depth} coefficients, got shape {coeffs.shape}"
+            )
+        out = np.zeros(coeffs.shape)
+        # indexing the first axis of the transposes keeps numpy's fast
+        # add.at path for a single row
+        np.add.at(out.T, self._s_pos, (self._alpha * coeffs.take(self._r_pos, axis=-1)).T)
+        return out
+
     def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
         if spec.depth != self.depth:
             raise ShiftError(f"spectrum depth {spec.depth} != shift depth {self.depth}")
-        out = np.zeros(1 << self.depth)
-        np.add.at(out, self._s_pos, self._alpha * spec.coeffs[self._r_pos])
-        return HaarSpectrum(self.depth, 0.0, out)
+        return HaarSpectrum(self.depth, 0.0, self.apply_rows(spec.coeffs))
 
     def adjoint(self) -> "GeneralShift":
         """Swap input and output Haar indices; satisfies <Tf, g> = <f, T*g>."""
@@ -187,6 +198,9 @@ class CanonicalShift:
             self.depth, self.shape, q, (q << self.m) + self.s_sel, (q << self.n) + self.t_sel, alpha
         )
         return self._general
+
+    def apply_rows(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.to_general().apply_rows(coeffs)
 
     def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
         return self.to_general().apply_spectrum(spec)

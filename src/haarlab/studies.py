@@ -14,7 +14,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
-from .martingale import StepFunction, analyze, haar_function, synthesize
+from .martingale import (
+    StepFunction,
+    analyze_rows,
+    first_max,
+    haar_function,
+    row_chunks,
+    synthesize_rows,
+)
 from .measure import MeasureTree, generate
 from .norms import NormSpec, haar_lambda2_norm, lambda_norm
 from .opnorm import node_probes
@@ -154,7 +161,9 @@ def probe_battery(
     mu: MeasureTree, seed: int, n_random: int = 12
 ) -> list[StepFunction]:
     """Haar functions, indicators (raw and recentred) of sampled nodes, and
-    random functions."""
+    n_random pairs of random functions."""
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
     rng = np.random.default_rng([seed, mu.depth])
     probes = list(node_probes(mu, _sampled_nodes(mu, rng)))
     n = 1 << mu.depth
@@ -185,22 +194,25 @@ def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
 def _suite_maxima(
     battery: dict[str, Shift],
     mu: MeasureTree,
-    inputs: list[tuple[StepFunction, float]],
+    inputs: np.ndarray,
+    denoms: np.ndarray,
     target: NormSpec,
 ) -> dict[str, float]:
-    """Max ratio per shift over (input, denominator) pairs; spectra are
-    shared across shifts."""
-    spectra = [(analyze(f, mu), denom) for f, denom in inputs]
-    out = {}
-    for shift_name, T in battery.items():
-        best = -np.inf
-        for spec, denom in spectra:
-            if denom <= 0.0 or not np.isfinite(denom):
-                continue
-            tf = synthesize(T.apply_spectrum(spec), mu)
-            best = max(best, target(tf, mu) / denom)
-        out[shift_name] = best
-    return out
+    """Max ratio per shift of target(T f) / denom over the rows f of
+    `inputs`, skipping denominators that are not finite and positive; -inf
+    where none is.  Chunk by chunk, the spectra are shared across shifts."""
+    best = dict.fromkeys(battery, -np.inf)
+    rows = np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
+    for chunk in row_chunks(len(rows), mu.depth):
+        picked = rows[chunk]
+        _, coeffs = analyze_rows(inputs[picked], mu)
+        for shift_name, T in battery.items():
+            images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
+            ratios = target.evaluate_rows(images, mu) / denoms[picked]
+            i = first_max(ratios)
+            if ratios[i] > best[shift_name]:
+                best[shift_name] = float(ratios[i])
+    return best
 
 
 def theorem_suite(
@@ -217,6 +229,8 @@ def theorem_suite(
     across depths; blowup families show monotone growth instead."""
     if name not in SUITES:
         raise ValueError(f"unknown theorem suite {name!r}; choose from {THEOREM_NAMES}")
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
     source, target = (
         None if spec is None else replace(spec, alpha=alpha) for spec in SUITES[name]
     )
@@ -225,12 +239,17 @@ def theorem_suite(
         for depth in depths:
             mu = build_measure(family, depth, seed)
             if source is None:
-                inputs = [(b.function(depth), b.cost) for b in block_battery(mu, seed)]
+                blocks = block_battery(mu, seed)
+                inputs = np.stack([b.function(depth).values for b in blocks])
+                denoms = np.array([b.cost for b in blocks])
             else:
-                inputs = [
-                    (f, source(f, mu)) for f in probe_battery(mu, seed, n_random=n_random)
-                ]
-            maxima = _suite_maxima(default_shift_battery(depth), mu, inputs, target)
+                # the stack replaces the probe list, which is not kept
+                inputs = np.stack([f.values for f in probe_battery(mu, seed, n_random=n_random)])
+                denoms = np.concatenate([
+                    source.evaluate_rows(inputs[chunk], mu)
+                    for chunk in row_chunks(len(inputs), depth)
+                ])
+            maxima = _suite_maxima(default_shift_battery(depth), mu, inputs, denoms, target)
             ests = {f"{shift_name}|{name}": v for shift_name, v in maxima.items()}
             rows.append(
                 StudyRow(

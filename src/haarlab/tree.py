@@ -150,10 +150,28 @@ class DyadicTree:
 
 
 def _parent_sums(child_sums: np.ndarray) -> np.ndarray:
-    """One level up: each parent's sum is its left child's plus its right
-    child's.  `aggregate_heap` and `level_sums` both step with this alone, so
-    they perform the same adds in the same order."""
-    return child_sums[0::2] + child_sums[1::2]
+    """One level up along the last axis: each parent's sum is its left
+    child's plus its right child's.  `aggregate` (behind `aggregate_heap`)
+    and `level_sums` both step with this alone, so they perform the same
+    adds in the same order."""
+    return child_sums[..., 0::2] + child_sums[..., 1::2]
+
+
+def aggregate(depth: int, leaf_values: np.ndarray) -> np.ndarray:
+    """Bottom-up sums along the last axis: out[..., p] = sum of
+    leaf_values[...] over the leaves under p.  Takes (..., 2**depth), one
+    function per row, and returns (..., 2**(depth+1)); slot 0 is NaN."""
+    n = 1 << depth
+    if leaf_values.shape[-1:] != (n,):
+        raise TreeError(f"expected {n} leaf values per row, got shape {leaf_values.shape}")
+    heap = np.empty(leaf_values.shape[:-1] + (2 * n,), dtype=np.float64)
+    heap[..., n:] = leaf_values
+    sums = heap[..., n:]
+    for k in range(depth - 1, -1, -1):
+        sums = _parent_sums(sums)
+        heap[..., 1 << k : 2 << k] = sums
+    heap[..., 0] = np.nan
+    return heap
 
 
 def aggregate_heap(depth: int, leaf_values: np.ndarray) -> np.ndarray:
@@ -164,20 +182,14 @@ def aggregate_heap(depth: int, leaf_values: np.ndarray) -> np.ndarray:
     n = 1 << depth
     if leaf_values.shape != (n,):
         raise TreeError(f"expected {n} leaf values, got shape {leaf_values.shape}")
-    heap = np.empty(2 * n, dtype=np.float64)
-    heap[n:] = leaf_values
-    sums = heap[n:]
-    for k in range(depth - 1, -1, -1):
-        sums = _parent_sums(sums)
-        heap[1 << k : 2 << k] = sums
-    heap[0] = np.nan
-    return heap
+    return aggregate(depth, leaf_values)
 
 
 def level_sums(depth: int, leaf_values: np.ndarray, level: int) -> np.ndarray:
-    """Sums of leaf_values over the 2**level nodes of one level: the same
-    adds as `aggregate_heap`, stopped at `level`, without the heap."""
-    if leaf_values.shape != (1 << depth,):
+    """Sums of leaf_values over the 2**level nodes of one level, along the
+    last axis: the same adds as `aggregate_heap`, stopped at `level`,
+    without the heap."""
+    if leaf_values.shape[-1:] != (1 << depth,):
         raise TreeError(f"expected {1 << depth} leaf values, got shape {leaf_values.shape}")
     if not 0 <= level <= depth:
         raise TreeError(f"level {level} outside tree of depth {depth}")

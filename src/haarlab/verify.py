@@ -180,6 +180,10 @@ def check_theorem_suites(depth: int, seed: int) -> CheckResult:
 
 
 def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[CheckResult]:
+    if depth < 2:
+        raise ValueError(f"verification needs depth >= 2, got {depth}")
+    if trials < 1:
+        raise ValueError(f"verification needs trials >= 1, got {trials}")
     results = []
     results.extend(check_basis(depth, trials, seed))
     results.append(check_sandwich(depth, trials, seed))

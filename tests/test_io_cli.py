@@ -22,6 +22,7 @@ from haarlab.norms import (
 )
 from haarlab.shift import CanonicalShift, GeneralShift, dense_alphas, petermichl
 from haarlab.tree import Node
+from haarlab.verify import run_verification
 
 
 @pytest.fixture
@@ -471,6 +472,25 @@ def test_cli_verify(tmp_path, capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
     payload = json.loads(out.read_text())
     assert all(entry["passed"] for entry in payload)
+    # depth 1 has no measure to check: a parameter error on one line, no traceback
+    assert main(["verify", "--depth", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: invalid verify config: verification needs depth >= 2, got 1\n"
+    with pytest.raises(ValueError):
+        run_verification(depth=1, trials=10, seed=7)
+
+
+def test_cli_trials_must_be_counts(capsys):
+    # verify checks nothing without trials; a negative count is never valid
+    for trials in ("0", "-3"):
+        assert main(["verify", "--depth", "2", "--trials", trials]) == 3
+        assert "trials >= 1" in capsys.readouterr().err
+    theorem = ["study", "theorem", "--name", "BMOtoBMO", "--family", "lebesgue", "--depths", "4:4"]
+    assert main(theorem + ["--trials", "-2"]) == 3
+    assert "n_random must be >= 0" in capsys.readouterr().err
+    assert main(theorem + ["--trials", "0"]) == 0
+    with pytest.raises(ValueError):
+        run_verification(depth=4, trials=-3, seed=7)
 
 
 def test_cli_verify_rejects_tol():

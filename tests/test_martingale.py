@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from haarlab import martingale
 from haarlab.martingale import (
     StepFunction,
     analyze,
+    analyze_rows,
     average,
     average_heap,
+    average_rows,
     difference,
     expectation,
     haar_basis_matrix,
@@ -18,13 +21,17 @@ from haarlab.martingale import (
     haar_function,
     haar_l1_norm,
     haar_linf_norm,
+    row_chunks,
     square_function,
     square_function_martingale,
+    square_function_rows,
+    stack_chunks,
     synthesize,
+    synthesize_rows,
 )
-from haarlab.measure import lebesgue, random_doubling
+from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import inner_product, lp_norm
-from haarlab.tree import Node, TreeError
+from haarlab.tree import DyadicTree, Node, TreeError, aggregate_heap
 
 
 @pytest.fixture
@@ -166,3 +173,116 @@ def test_depth_mismatch_raises(mu):
     f = StepFunction(3, np.ones(8))
     with pytest.raises(TreeError):
         analyze(f, mu)
+
+
+# The one-function transforms as they were before the probe axis, copied
+# verbatim as references for the row kernels.
+def _ref_average_heap(f, mu):
+    ints = aggregate_heap(mu.depth, f.values * mu.leaf_masses)
+    out = np.empty_like(ints)
+    out[0] = np.nan
+    out[1:] = ints[1:] / mu.mass_heap[1:]
+    return out
+
+
+def _ref_analyze(f, mu):
+    n = 1 << mu.depth
+    avg = _ref_average_heap(f, mu)
+    c = mu.haar_constant_heap
+    coeffs = np.empty(n, dtype=np.float64)
+    coeffs[0] = 0.0
+    coeffs[1:] = c[1:] * (avg[2 : 2 * n : 2] - avg[3 : 2 * n : 2])
+    return float(avg[1]), coeffs
+
+
+def _ref_synthesize(mean, coeffs, mu):
+    n = 1 << mu.depth
+    acc = np.empty(2 * n, dtype=np.float64)
+    acc[1] = mean
+    c = mu.haar_constant_heap
+    for k in range(mu.depth):
+        lo, hi = 1 << k, 1 << (k + 1)
+        step = coeffs[lo:hi] * c[lo:hi]
+        acc[2 * lo : 2 * hi : 2] = acc[lo:hi] + step / mu.mass_heap[2 * lo : 2 * hi : 2]
+        acc[2 * lo + 1 : 2 * hi : 2] = (
+            acc[lo:hi] - step / mu.mass_heap[2 * lo + 1 : 2 * hi : 2]
+        )
+    return acc[n:]
+
+
+def _ref_square_function(f, mu):
+    _, coeffs = _ref_analyze(f, mu)
+    n = 1 << mu.depth
+    acc = np.zeros(2 * n, dtype=np.float64)
+    c = mu.haar_constant_heap
+    for k in range(mu.depth):
+        lo, hi = 1 << k, 1 << (k + 1)
+        step = coeffs[lo:hi] * c[lo:hi]
+        acc[2 * lo : 2 * hi : 2] = (
+            acc[lo:hi] + (step / mu.mass_heap[2 * lo : 2 * hi : 2]) ** 2
+        )
+        acc[2 * lo + 1 : 2 * hi : 2] = (
+            acc[lo:hi] + (step / mu.mass_heap[2 * lo + 1 : 2 * hi : 2]) ** 2
+        )
+    return np.sqrt(acc[n:])
+
+
+def _transform_cases(depth):
+    rng = np.random.default_rng([23, depth])
+    n = 1 << depth
+    measures = [MeasureTree(DyadicTree(depth), 10.0 ** rng.uniform(-8.0, 0.0, n))]
+    if depth >= 2:
+        measures += [generate(kind, depth, seed=depth) for kind in GENERATORS]
+    F = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (7, n))
+    F[3] = 0.0
+    F[4, n // 2] = np.nan
+    return measures, F
+
+
+def _eq(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("depth", range(1, 10))
+def test_transform_rows_match_one_function_references(depth):
+    measures, F = _transform_cases(depth)
+    for mu in measures:
+        avg = average_rows(F, mu)
+        means, coeffs = analyze_rows(F, mu)
+        squares = square_function_rows(F, mu)
+        images = synthesize_rows(means, coeffs, mu)
+        for i, row in enumerate(F):
+            f = StepFunction(depth, row)
+            ref_mean, ref_coeffs = _ref_analyze(f, mu)
+            assert _eq(avg[i], _ref_average_heap(f, mu))
+            assert _eq(means[i], ref_mean) and _eq(coeffs[i], ref_coeffs)
+            assert _eq(images[i], _ref_synthesize(ref_mean, ref_coeffs, mu))
+            assert _eq(squares[i], _ref_square_function(f, mu))
+            # the one-function API is the one-row case
+            spec = analyze(f, mu)
+            assert _eq(spec.mean, ref_mean) and _eq(spec.coeffs, ref_coeffs)
+            assert _eq(synthesize(spec, mu).values, images[i])
+            assert _eq(average_heap(f, mu), avg[i])
+            assert _eq(square_function(f, mu).values, squares[i])
+        # one mean for all rows broadcasts
+        zero_mean = synthesize_rows(0.0, coeffs, mu)
+        for i in range(len(F)):
+            assert _eq(zero_mean[i], _ref_synthesize(0.0, coeffs[i], mu))
+
+
+def test_row_shapes_checked(mu):
+    with pytest.raises(TreeError):
+        average_rows(np.zeros((3, 8)), mu)
+    with pytest.raises(TreeError):
+        synthesize_rows(0.0, np.zeros((3, 8)), mu)
+
+
+def test_chunks_cover_rows_in_order(monkeypatch):
+    monkeypatch.setattr(martingale, "CHUNK_BYTES", 3 * 8 * 16)  # three rows at depth 4
+    assert [(c.start, c.stop) for c in row_chunks(7, 4)] == [(0, 3), (3, 6), (6, 9)]
+    assert list(row_chunks(0, 4)) == []
+    assert [(c.start, c.stop) for c in row_chunks(2, 9)] == [(0, 1), (1, 2)]  # at least one row
+    fs = [StepFunction.constant(4, float(i)) for i in range(7)]
+    stacks = list(stack_chunks(iter(fs), 4))
+    assert [len(s) for s in stacks] == [3, 3, 1]
+    assert np.array_equal(np.concatenate(stacks)[:, 0], np.arange(7.0))

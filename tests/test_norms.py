@@ -10,15 +10,21 @@ from haarlab import verify
 from haarlab.martingale import StepFunction, average_heap, haar_function, square_function
 from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import (
+    NORMS,
     NormError,
     NormSpec,
     bmo_martingale,
+    bmo_osc_rows,
     bmo_oscillation,
+    bmo_rows,
     h1_norm,
+    h1_rows,
     haar_lambda2_norm,
     inner_product,
     lambda_norm,
+    lambda_rows,
     lp_norm,
+    lp_rows,
     sibling_lemma_check,
     weak_l1,
 )
@@ -332,6 +338,25 @@ def _pinning_functions(depth):
             yield StepFunction(depth, scale * base)
 
 
+def _pinning_rows(depth):
+    """The pinning functions stacked as rows, plus rows with exact ties (zero,
+    a two-valued step, a Haar-like sign pattern) and rows holding NaNs."""
+    n = 1 << depth
+    rows = [f.values for f in _pinning_functions(depth)]
+    rows.append(np.zeros(n))
+    rows.append(np.where(np.arange(n) < n // 2, 1.0, -1.0))
+    rows.append(np.tile([1.0, -1.0], n // 2))
+    one_nan = np.random.default_rng([17, depth]).standard_normal(n)
+    one_nan[n // 3] = np.nan
+    rows += [one_nan, np.full(n, np.nan)]
+    return np.stack(rows)
+
+
+def _same(values, expected):
+    # repr tells NaN from NaN-free values and -0.0 from 0.0
+    return [repr(float(v)) for v in values] == [repr(float(e)) for e in expected]
+
+
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_sup_norms_match_reference_loops(depth):
     for mu in _pinning_measures(depth):
@@ -342,3 +367,73 @@ def test_sup_norms_match_reference_loops(depth):
                 for alpha in (0.0, 0.5, 1.0):
                     res = lambda_norm(f, mu, q, alpha)
                     assert (res.value, res.witness_node) == _ref_lambda_norm(f, mu, q, alpha)
+        # the batch kernels, row by row, on the same functions plus ties and NaNs
+        F = _pinning_rows(depth)
+        fs = [StepFunction(depth, row) for row in F]
+        assert _same(bmo_rows(F, mu), [_ref_bmo_martingale(f, mu) for f in fs])
+        assert _same(bmo_osc_rows(F, mu), [_ref_bmo_oscillation(f, mu) for f in fs])
+        for q in (1.0, 2.0, 3.5):
+            for alpha in (0.0, 0.5, 1.0):
+                values, (levels, indices) = lambda_rows(F, mu, q, alpha)
+                refs = [_ref_lambda_norm(f, mu, q, alpha) for f in fs]
+                assert _same(values, [v for v, _ in refs])
+                assert list(map(Node, levels.tolist(), indices.tolist())) == [w for _, w in refs]
+
+
+# The norms of the parent layer, one function at a time, copied verbatim as
+# references for the row kernels that have no reference loop above.
+def _ref_lp_norm(f, mu, p):
+    if np.isinf(p):
+        return float(np.max(np.abs(f.values)))
+    return float(np.sum(np.abs(f.values) ** p * mu.leaf_masses) ** (1.0 / p))
+
+
+def _ref_weak_l1(f, mu):
+    absvals = np.abs(f.values)
+    order = np.argsort(absvals)[::-1]
+    sorted_vals = absvals[order]
+    cum_mass = np.cumsum(mu.leaf_masses[order])
+    return float(np.max(sorted_vals * cum_mass, initial=0.0))
+
+
+def _ref_h1_norm(f, mu):
+    return _ref_lp_norm(square_function(f, mu), mu, 1.0)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_row_norms_match_one_function_references(depth):
+    for mu in _pinning_measures(depth):
+        F = _pinning_rows(depth)
+        # repeated magnitudes put ties in weak_l1's sort
+        F = np.concatenate([F, np.round(F[:3] * 4.0) / 4.0])
+        fs = [StepFunction(depth, row) for row in F]
+        for p in (1.0, 2.0, 3.5, np.inf):
+            assert _same(lp_rows(F, mu, p), [_ref_lp_norm(f, mu, p) for f in fs])
+        assert _same(h1_rows(F, mu), [_ref_h1_norm(f, mu) for f in fs])
+        weak, _ = NORMS["weak_l1"].rows(F, mu)
+        assert _same(weak, [_ref_weak_l1(f, mu) for f in fs])
+        # every table entry's one-row case is its row of the batch
+        for name, entry in NORMS.items():
+            spec = NormSpec(name, p=3.5, q=3.5, alpha=0.5)
+            batch = spec.evaluate_rows(F, mu)
+            for f, value in zip(fs, batch):
+                assert repr(spec.evaluate(f, mu).value) == repr(float(value))
+
+
+@pytest.mark.parametrize("depth", range(1, 15))
+def test_row_sums_equal_one_row_sums(depth):
+    """numpy's pairwise sum along the last axis of a (P, n) array adds each
+    row in the order it adds that row alone, contiguous or not.  The lp (and
+    so h1) row kernels rely on it for byte-identical results; if a numpy
+    upgrade changes it, this fails before any payload moves."""
+    rng = np.random.default_rng([19, depth])
+    n = 1 << depth
+    big = rng.standard_normal((9, 2 * n + 1)) * 10.0 ** rng.uniform(-8, 8, (9, 2 * n + 1))
+    mu = MeasureTree(DyadicTree(depth), 10.0 ** rng.uniform(-8, 0, n))
+    for X in (big[:, :n], big[::2, 1 : n + 1], big[:, 1 : 2 * n + 1 : 2]):
+        sums = np.sum(X, axis=1)
+        for i, row in enumerate(X):
+            assert sums[i] == np.sum(row)
+        weighted = np.abs(X) * mu.leaf_masses
+        assert _same(lp_rows(X, mu, 1.0), [np.sum(w) for w in weighted])
+        assert _same(h1_rows(X, mu), [_ref_h1_norm(StepFunction(depth, row), mu) for row in X])

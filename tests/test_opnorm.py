@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from haarlab import opnorm
+from haarlab import martingale, opnorm
 from haarlab.martingale import StepFunction, haar_function
-from haarlab.measure import lebesgue, random_doubling
+from haarlab.measure import GENERATORS, generate, lebesgue, random_doubling
 from haarlab.norms import NormSpec, lp_norm
 from haarlab.opnorm import (
     dense_haar_matrix,
@@ -13,7 +13,14 @@ from haarlab.opnorm import (
     opnorm_lower_bound,
     svd_opnorm,
 )
-from haarlab.shift import GeneralShift, ShiftShape, apply_shift, petermichl
+from haarlab.shift import (
+    CanonicalShift,
+    GeneralShift,
+    ShiftShape,
+    apply_shift,
+    dense_alphas,
+    petermichl,
+)
 from haarlab.tree import Node
 
 
@@ -105,13 +112,14 @@ def test_deterministic_probe_order(monkeypatch):
     # node in heap order its indicator and the recentred indicator
     mu = random_doubling(3, seed=5)
     seen = []
-    ratio = opnorm._ratio
+    ratio_rows = opnorm._ratio_rows
 
-    def spy(T, f, mu_, from_norm, to_norm):
-        seen.append(f.values.copy())
-        return ratio(T, f, mu_, from_norm, to_norm)
+    def spy(T, F, mu_, from_norm, to_norm):
+        seen.extend(F.copy())
+        return ratio_rows(T, F, mu_, from_norm, to_norm)
 
-    monkeypatch.setattr(opnorm, "_ratio", spy)
+    # every ratio, batched or one-row, is scored by _ratio_rows
+    monkeypatch.setattr(opnorm, "_ratio_rows", spy)
     l2 = NormSpec("lp", p=2.0)
     opnorm_lower_bound(petermichl(3), mu, l2, l2, budget=1, ascent_steps=0)
     n, tree = 1 << mu.depth, mu.tree
@@ -123,3 +131,113 @@ def test_deterministic_probe_order(monkeypatch):
         centred = ind - StepFunction.constant(mu.depth, mu.mass(node) / mu.total_mass)
         assert np.array_equal(seen[n - 1 + 2 * (p - 1)], ind.values)
         assert np.array_equal(seen[n + 2 * (p - 1)], centred.values)
+
+
+# opnorm_lower_bound before its node probes were scored as one batch, copied
+# verbatim (its _ratio as _ref_ratio) as the reference for the batched stage.
+def _ref_ratio(T, f, mu, from_norm, to_norm):
+    denom = from_norm(f, mu)
+    if denom == 0.0 or not np.isfinite(denom):
+        return -np.inf
+    return to_norm(apply_shift(T, f, mu), mu) / denom
+
+
+def _ref_node_probe_stage(T, mu, from_norm, to_norm):
+    best_val, best_f = -np.inf, None
+    for f in opnorm.node_probes(mu, mu.tree.nodes()):
+        val = _ref_ratio(T, f, mu, from_norm, to_norm)
+        if val > best_val:
+            best_val, best_f = val, f
+    return best_val, best_f
+
+
+def _ref_opnorm_lower_bound(T, mu, from_norm, to_norm, budget=50, seed=0, ascent_steps=20):
+    n = 1 << mu.depth
+    best_val, best_f = _ref_node_probe_stage(T, mu, from_norm, to_norm)
+
+    def ascend(f, val, rng):
+        scale = max(float(np.max(np.abs(f.values))), 1.0)
+        for _ in range(ascent_steps):
+            leaf = int(rng.integers(n))
+            eps = scale * rng.choice([-0.5, -0.1, 0.1, 0.5])
+            vals = f.values.copy()
+            vals[leaf] += eps
+            cand = StepFunction(mu.depth, vals)
+            cand_val = _ref_ratio(T, cand, mu, from_norm, to_norm)
+            if cand_val > val:
+                f, val = cand, cand_val
+        return f, val
+
+    if best_f is not None and np.isfinite(best_val):
+        f, val = ascend(best_f, best_val, np.random.default_rng([seed, 999_983]))
+        if val > best_val:
+            best_val, best_f = val, f
+
+    for trial in range(budget):
+        rng = np.random.default_rng([seed, trial])
+        f = StepFunction(mu.depth, rng.standard_normal(n))
+        val = _ref_ratio(T, f, mu, from_norm, to_norm)
+        if np.isfinite(val):
+            f, val = ascend(f, val, rng)
+        if val > best_val:
+            best_val, best_f = val, f
+
+    if best_f is None:
+        best_f = StepFunction.indicator(mu.tree, Node(0, 0))
+        best_val = _ref_ratio(T, best_f, mu, from_norm, to_norm)
+    return _ref_ratio(T, best_f, mu, from_norm, to_norm), best_f
+
+
+PAIRS = [
+    (NormSpec("bmo"), NormSpec("bmo")),
+    (NormSpec("lambda", q=2.0, alpha=0.5), NormSpec("lambda", q=2.0, alpha=0.5)),
+    (NormSpec("lp", p=np.inf), NormSpec("bmo")),
+    (NormSpec("h1"), NormSpec("lp", p=1.0)),
+]
+
+
+def _opnorm_shifts(depth):
+    # the zero shift ties every ratio at 0, so the first probe must win
+    return [
+        petermichl(depth),
+        CanonicalShift(depth, 2, 1, 1, 0, dense_alphas(depth, 2, 1, 1.0)),
+        GeneralShift(depth, ShiftShape(0, 0), []),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_node_probe_stage_matches_sequential_reference(kind, monkeypatch):
+    for depth in (3, 5):
+        mu = generate(kind, depth, seed=depth)
+        for T in _opnorm_shifts(depth):
+            for from_n, to_n in PAIRS:
+                ref_val, ref_f = _ref_node_probe_stage(T, mu, from_n, to_n)
+                # one chunk, one row per chunk, and three rows per chunk
+                for chunk_bytes in (None, 8, 3 * 8 << depth):
+                    if chunk_bytes is not None:
+                        monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
+                    val, f = opnorm._best_node_probe(T, mu, from_n, to_n)
+                    assert repr(val) == repr(ref_val)
+                    assert f.values.tobytes() == ref_f.values.tobytes()
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_lower_bound_matches_sequential_reference(kind, monkeypatch):
+    monkeypatch.setattr(martingale, "CHUNK_BYTES", 5 * 8 << 4)  # five rows per chunk
+    mu = generate(kind, 4, seed=7)
+    for T in _opnorm_shifts(4):
+        for from_n, to_n in PAIRS:
+            est = opnorm_lower_bound(T, mu, from_n, to_n, budget=2, seed=3)
+            ref_val, ref_f = _ref_opnorm_lower_bound(T, mu, from_n, to_n, budget=2, seed=3)
+            assert repr(est.lower_bound) == repr(ref_val)
+            assert est.witness.values.tobytes() == ref_f.values.tobytes()
+
+
+def test_node_probe_stage_without_a_finite_ratio(mu):
+    class ZeroNorm:
+        def evaluate_rows(self, F, mu):
+            return np.zeros(F.shape[:-1])
+
+    T = petermichl(mu.depth)
+    assert opnorm._best_node_probe(T, mu, ZeroNorm(), NormSpec("bmo")) == (-np.inf, None)

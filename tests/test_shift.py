@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from haarlab.martingale import StepFunction, analyze, haar_function
+from haarlab.martingale import HaarSpectrum, StepFunction, analyze, haar_function
 from haarlab.measure import random_doubling
 from haarlab.norms import inner_product, lp_norm
 from haarlab.shift import (
@@ -242,3 +242,35 @@ def test_from_heap_rejects_positions_outside_tree():
             GeneralShift.from_heap(3, ShiftShape(0, 0), [pos], [pos], [pos], [1.0])
     with pytest.raises(ShiftError):
         GeneralShift.from_heap(3, ShiftShape(0, 1), [1, 1], [1, 1], [2], [1.0, 1.0])
+
+
+def _ref_apply_spectrum(T, coeffs):
+    # the one-spectrum action before the probe axis, verbatim
+    out = np.zeros(1 << T.depth)
+    np.add.at(out, T._s_pos, T._alpha * coeffs[T._r_pos])
+    return out
+
+
+@pytest.mark.parametrize("depth", range(2, 10))
+def test_apply_rows_match_one_spectrum_reference(depth):
+    rng = np.random.default_rng([29, depth])
+    n = 1 << depth
+    C = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, n))
+    C[2] = -0.0
+    C[3, n // 2] = np.nan
+    shifts = [petermichl(depth), petermichl(depth).adjoint()]  # the adjoint's S collide
+    for m, s_sel, n_sel, t_sel in [(1, 0, 0, 0), (0, 0, 1, 1), (2, 1, 1, 0), (2, 3, 0, 0)]:
+        alphas = dense_alphas(depth, m, n_sel, -1.0 if s_sel else 1.0)
+        shifts.append(CanonicalShift(depth, m, s_sel, n_sel, t_sel, alphas))
+    shifts.append(shifts[-1].adjoint())
+    for T in shifts:
+        general = T if isinstance(T, GeneralShift) else T.to_general()
+        images = T.apply_rows(C)
+        for i, row in enumerate(C):
+            ref = _ref_apply_spectrum(general, row)
+            assert np.array_equal(images[i], ref, equal_nan=True)
+            assert repr(images[i].tolist()) == repr(ref.tolist())  # signs of zeros too
+            spec = T.apply_spectrum(HaarSpectrum(depth, 1.5, row))
+            assert spec.mean == 0.0 and np.array_equal(spec.coeffs, ref, equal_nan=True)
+    with pytest.raises(ShiftError):
+        shifts[0].apply_rows(np.zeros((2, n // 2)))

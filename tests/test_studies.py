@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from haarlab.measure import MeasureError, geometric_unbalanced
-from haarlab.norms import haar_lambda2_norm
+from haarlab import martingale, studies
+from haarlab.martingale import StepFunction, analyze, synthesize
+from haarlab.measure import GENERATORS, MeasureError, generate, geometric_unbalanced
+from haarlab.norms import NormSpec, haar_lambda2_norm
 from haarlab.studies import (
+    SUITES,
     THEOREM_NAMES,
     blowup_study,
+    block_battery,
     build_measure,
     default_shift_battery,
     family_label,
     predicted_blowup_ratio,
+    probe_battery,
     rows_to_csv,
     theorem_suite,
     unbalanced_branch_node,
@@ -78,6 +83,10 @@ def test_theorem_suite_shapes_and_names():
         theorem_suite("NotASuite", [{"kind": "lebesgue"}], [4])
     with pytest.raises(MeasureError, match="takes no parameter q"):
         theorem_suite("LInfBMO", [{"kind": "lebesgue", "q": 0.3}], [4], n_random=1)
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        theorem_suite("LInfBMO", [{"kind": "lebesgue"}], [4], n_random=-2)
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        probe_battery(geometric_unbalanced(4), 0, n_random=-1)
     assert set(THEOREM_NAMES) == {"LInfBMO", "BMOtoBMO", "H1L1", "H1H1", "TheoremB"}
 
 
@@ -99,3 +108,52 @@ def test_rows_to_csv_canonical():
     # floats are emitted via repr, so parsing them back is lossless
     value = float(lines[1].split(",")[-2])
     assert np.isfinite(value)
+
+
+def _ref_suite_maxima(battery, mu, inputs, target):
+    # the per-function suite loop before the probe axis, verbatim
+    spectra = [(analyze(f, mu), denom) for f, denom in inputs]
+    out = {}
+    for shift_name, T in battery.items():
+        best = -np.inf
+        for spec, denom in spectra:
+            if denom <= 0.0 or not np.isfinite(denom):
+                continue
+            tf = synthesize(T.apply_spectrum(spec), mu)
+            best = max(best, target(tf, mu) / denom)
+        out[shift_name] = best
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
+    depth = 5
+    mu = generate(kind, depth, seed=3)
+    battery = default_shift_battery(depth)
+    probes = [f.values for f in probe_battery(mu, 3, n_random=2)]
+    probes += [b.function(depth).values for b in block_battery(mu, 3)]
+    F = np.stack(probes)
+    denoms = np.random.default_rng(3).uniform(0.5, 2.0, len(F))
+    denoms[[1, 4, 6, 9]] = [0.0, -1.0, np.nan, np.inf]  # rows to skip
+    inputs = [(StepFunction(depth, row), float(d)) for row, d in zip(F, denoms)]
+    for _, target in SUITES.values():
+        expected = _ref_suite_maxima(battery, mu, inputs, target)
+        # one chunk, one row per chunk, and seven rows per chunk
+        for chunk_bytes in (martingale.CHUNK_BYTES, 8, 7 * 8 << depth):
+            monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
+            got = studies._suite_maxima(battery, mu, F, denoms, target)
+            assert repr(got) == repr(expected)
+    # no usable denominator leaves every maximum at -inf
+    none = studies._suite_maxima(battery, mu, F[:3], np.zeros(3), NormSpec("bmo"))
+    assert none == dict.fromkeys(battery, -np.inf)
+
+
+def test_theorem_suite_chunking_leaves_csv_unchanged(monkeypatch):
+    fams = [{"kind": "random_doubling"}, {"kind": "spine"}]
+    for name in THEOREM_NAMES:
+        expected = rows_to_csv(theorem_suite(name, fams, [4, 6], seed=2, n_random=2))
+        for chunk_bytes in (8, 3 * 8 << 6):
+            monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
+            csv = rows_to_csv(theorem_suite(name, fams, [4, 6], seed=2, n_random=2))
+            assert csv == expected
+        monkeypatch.undo()

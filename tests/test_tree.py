@@ -7,6 +7,7 @@ from haarlab.tree import (
     DyadicTree,
     Node,
     TreeError,
+    aggregate,
     aggregate_heap,
     leaf_broadcast,
     level_sums,
@@ -115,8 +116,22 @@ def test_level_sums_equal_heap_levels():
         heap = aggregate_heap(depth, vals)
         for k in range(depth + 1):
             assert np.array_equal(level_sums(depth, vals, k), heap[1 << k : 2 << k])
+        # rows of a 2-d array, contiguous or a strided view, sum as single rows
+        n = 1 << depth
+        big = rng.standard_normal((5, 2 * n)) * 10.0 ** rng.uniform(-8, 8, (5, 2 * n))
+        for rows in (big[:, :n], big[::2, 1::2]):
+            heaps = aggregate(depth, rows)
+            for i, row in enumerate(rows):
+                one = aggregate_heap(depth, np.ascontiguousarray(row))
+                assert np.array_equal(heaps[i], one, equal_nan=True)
+                for k in range(depth + 1):
+                    assert np.array_equal(level_sums(depth, rows, k)[i], one[1 << k : 2 << k])
     with pytest.raises(TreeError):
         level_sums(3, np.zeros(7), 1)
+    with pytest.raises(TreeError):
+        level_sums(3, np.zeros((2, 7)), 1)
+    with pytest.raises(TreeError):
+        aggregate(3, np.zeros((2, 7)))
     with pytest.raises(TreeError):
         level_sums(3, np.zeros(8), 4)
     with pytest.raises(TreeError):
