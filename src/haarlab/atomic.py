@@ -130,18 +130,17 @@ def combine_blocks(blocks: list[AtomicBlock], weights: list[float]) -> AtomicBlo
 def random_block(
     mu: MeasureTree, base_level: int, n_subatoms: int, rng: np.random.Generator
 ) -> AtomicBlock:
-    """A random signed combination of Haar blocks sharing a base level."""
+    """A random signed combination of Haar blocks sharing a base level.
+    The candidates are the internal nodes from `base_level` down, drawn by
+    index: the i-th, in level-then-index order, is at heap position
+    2**base_level + i."""
     if not 0 <= base_level <= mu.depth - 1:
         raise NormError(f"base level {base_level} out of range")
-    candidates = [
-        Node(k, j)
-        for k in range(base_level, mu.depth)
-        for j in range(1 << k)
-    ]
-    picks = rng.choice(len(candidates), size=min(n_subatoms, len(candidates)), replace=False)
+    n_candidates = (1 << mu.depth) - (1 << base_level)
+    picks = rng.choice(n_candidates, size=min(n_subatoms, n_candidates), replace=False)
     blocks, weights = [], []
     for i in picks:
-        node = candidates[int(i)]
+        node = mu.tree.node_at((1 << base_level) + int(i))
         b = haar_block(mu, node)
         b = AtomicBlock(base_level, b.p, b.subatoms)  # rebase to the shared level
         # rebasing tightens the size budget by 1/(level - base + 1); shrink

@@ -6,6 +6,12 @@ witness node where the supremum is attained.  Each norm has one
 implementation on the probe axis (`lp_rows`, `bmo_rows`, ...: one value per
 row of a (P, 2**depth) array, see `martingale`); the one-function forms
 (`lp_norm`, `bmo_martingale`, ...) evaluate a one-row batch.
+
+BMO and Lambda_q(alpha) also have a cheap certified upper bound per row
+(`bmo_upper_rows`, `lambda_upper_rows`): a bound on the value the kernel
+*computes*, rounding included.  A caller that only needs the maximum over
+many rows may skip every row whose bound lies below a value already
+attained; such a row provably cannot raise the maximum.
 """
 
 from __future__ import annotations
@@ -136,16 +142,20 @@ def bmo_oscillation(f: StepFunction, mu: MeasureTree) -> float:
     return float(bmo_osc_rows(f.values, mu))
 
 
+def _check_lambda(q: float, alpha: float) -> None:
+    if q < 1 or not np.isfinite(q):
+        raise NormError(f"q must be a finite real >= 1, got {q}")
+    if not 0 <= alpha < np.inf:
+        raise NormError(f"alpha must be a finite real >= 0, got {alpha}")
+
+
 def lambda_rows(
     F: np.ndarray, mu: MeasureTree, q: float, alpha: float
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The Lambda_q(alpha) semi-norm of every row of F (see `lambda_norm`),
     and the levels and indices of the rows' witness nodes: the first node of
     the first level that attains the supremum, or (0, 0) when it is 0."""
-    if q < 1 or not np.isfinite(q):
-        raise NormError(f"q must be a finite real >= 1, got {q}")
-    if not alpha >= 0:
-        raise NormError(f"alpha must be >= 0, got {alpha}")
+    _check_lambda(q, alpha)
     level_maxima = np.empty(F.shape[:-1] + (mu.depth + 1,))
     argmaxima = np.empty(F.shape[:-1] + (mu.depth + 1,), dtype=np.int64)
     for k, dev, mass in _level_deviations(F, mu, average_rows(F, mu), up=1):
@@ -181,8 +191,7 @@ def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
     c_I / mu(child)^(1+alpha)); everything strictly below the children
     contributes zero.
     """
-    if not alpha >= 0:
-        raise NormError(f"alpha must be >= 0, got {alpha}")
+    _check_lambda(2.0, alpha)
     tree = mu.tree
     if tree.is_leaf(node):
         raise TreeError(f"no Haar function at leaf {node}")
@@ -207,6 +216,112 @@ def h1_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
 def h1_norm(f: StepFunction, mu: MeasureTree) -> float:
     """L1 norm of the square function."""
     return float(h1_rows(f.values, mu))
+
+
+# --- certified upper bounds on the computed suprema -----------------------
+
+# Range guard of `_deviation_bound`: the quantities it checks must lie in
+# [_LOW, _HIGH], well inside the normal range of float64.
+_LOW, _HIGH = 2.0**-1000, 2.0**1000
+# slack for the rounding of the kernels' sums, powers, products and
+# divisions, and for a level value that ends below the normal range
+_REL_SLACK, _ABS_SLACK = 1e-9, 2.0**-1022
+
+
+def _leaf_ranges(F: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heaps (..., 2**depth) of the largest and the smallest leaf value of
+    every row of F under every internal node (slot 0 unused).  Halving
+    takes maxima and minima only, so no value is rounded; a NaN leaf makes
+    every range above it NaN."""
+    hi, lo = np.empty(F.shape), np.empty(F.shape)
+    top = bottom = F
+    for k in range(depth - 1, -1, -1):
+        top = np.maximum(top[..., 0::2], top[..., 1::2], out=hi[..., 1 << k : 2 << k])
+        bottom = np.minimum(bottom[..., 0::2], bottom[..., 1::2], out=lo[..., 1 << k : 2 << k])
+    return hi, lo
+
+
+def _deviation_bound(
+    F: np.ndarray, mu: MeasureTree, q: float, weight: float | np.ndarray
+) -> np.ndarray:
+    """Per row g of F, an upper bound on the value `bmo_rows` (q = 1,
+    weight 1) or `lambda_rows` (weight_P = min(mu(P-), mu(P+))^-alpha over
+    the internal nodes P) *computes* for g: max_P dev_P weight_P with slack,
+    0 where every dev_P is 0, and not finite where it cannot be certified.
+
+    Proof.  Let c_P be the computed average of g over the internal node P:
+    the heap `average_rows` gives the kernels, bit for bit.  On a node Q of
+    level k both kernels take the leafwise deviations d_x = |fl(g_x - c_P)|,
+    x under Q, from the average over the parent P of Q (the root is its own
+    parent at level 0).  With hi_P and lo_P the largest and smallest g_x
+    under P, monotone rounding gives, with no slack,
+
+        d_x <= dev_P = max(fl(hi_P - c_P), fl(c_P - lo_P)).
+
+    Lambda's level value at Q is fl(fl(S_Q^(1/q)) fl(m_Q^(-1/q-alpha))),
+    where S_Q is the pairwise sum of fl(fl(d_x^q) m_x) over x under Q and
+    m_Q the pairwise-summed mass heap; BMO's is fl(S_Q / m_Q) with q = 1
+    below the leaves and d_x itself at them.  While every product stays
+    normal, each power, product, sum and division has a relative error of
+    a few units of 2^-53, so S_Q <= dev_P^q (sum of m_x)(1 + e) and
+    m_Q >= (sum of m_x)(1 - e), with e of order depth * 2^-53.  Hence the
+    level value is at most dev_P m_Q^-alpha (1 + e), and m_Q^-alpha <=
+    weight_P because m_Q is a child mass of P, or the root mass, which is
+    at least each child mass.  A level value below the normal range may
+    round up by 2^-1074: _ABS_SLACK covers it.  The kernel returns the
+    largest level value or 0, so the bound holds with the relative slack
+    1e-9, which dominates e at any depth that fits in memory.
+
+    The error model needs the intermediates in the normal range.  Rows
+    that fail one of these checks get +inf, so callers evaluate them:
+    - min over dev_P > 0 of dev_P^q min(1, min m_x) >= 2^-1000: then
+      dev_P^q and every dev_P^q m_x are normal, and a power or product
+      for a smaller d_x that underflows rounds by at most 2^-1074, which
+      is negligible against them (where dev_P = 0, every d_x under P is
+      exactly 0);
+    - max dev_P^q max(1, mu(root)) <= 2^1000: no power, product or sum
+      overflows.
+    A level value cannot overflow where the slackened bound is finite: it
+    lies below that bound.  Lambda's mass factors m_Q^(-1/q-alpha) must be
+    normal too; where they leave [2^-1000, 2^1000], the caller passes
+    weight = +inf, which leaves only the zero rows finite.  A NaN or an
+    inf in g makes dev, and so the bound, NaN or inf.
+    """
+    n = 1 << mu.depth
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        avg = average_rows(F, mu)[..., 1:n]
+        hi, lo = (heap[..., 1:] for heap in _leaf_ranges(F, mu.depth))
+        # in place: fresh megabyte temporaries cost page faults on every call
+        dev = np.maximum(np.subtract(hi, avg, out=hi), np.subtract(avg, lo, out=lo), out=hi)
+        bound = np.max(np.multiply(dev, weight, out=lo), axis=-1)
+        big = np.max(dev, axis=-1)
+        small = np.min(dev, axis=-1, initial=np.inf, where=dev > 0.0)
+        ok = (small**q * min(1.0, mu.leaf_masses.min()) >= _LOW) & (
+            big**q * max(1.0, mu.total_mass) <= _HIGH
+        )
+        certified = np.where(ok, bound * (1.0 + _REL_SLACK) + _ABS_SLACK, np.inf)
+        return np.where(big == 0.0, 0.0, certified)
+
+
+def bmo_upper_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """A certified upper bound on `bmo_rows(F, mu)`, row by row: max over
+    internal nodes P of the largest |g_x - <g>_P| under P (see
+    `_deviation_bound`); not finite where it cannot be certified."""
+    return _deviation_bound(F, mu, 1.0, 1.0)
+
+
+def lambda_upper_rows(F: np.ndarray, mu: MeasureTree, q: float, alpha: float) -> np.ndarray:
+    """A certified upper bound on the values of `lambda_rows(F, mu, q,
+    alpha)`, row by row: max over internal nodes P of the largest
+    |g_x - <g>_P| under P times min(mu(P-), mu(P+))^-alpha (see
+    `_deviation_bound`); not finite where it cannot be certified."""
+    _check_lambda(q, alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        factors = mu.mass_heap[1:] ** (-1.0 / q - alpha)
+        weight = mu.min_child_heap[1:] ** -alpha
+    if not (factors.min() >= _LOW and factors.max() <= _HIGH):
+        weight = np.inf
+    return _deviation_bound(F, mu, q, weight)
 
 
 # slack added to the right-hand side of the sibling lemma, for rounding
@@ -246,10 +361,13 @@ class NormEntry:
     """How a named norm is evaluated on the rows of a (P, 2**depth) array:
     `rows(F, mu, **params)` returns the P values and, for a norm with witness
     nodes, the arrays of their levels and indices, else None; `params` names
-    the `NormSpec` fields it reads, in label order."""
+    the `NormSpec` fields it reads, in label order.  `upper(F, mu, **params)`,
+    where given, returns a certified upper bound on each of the P values
+    `rows` computes (not finite where it certifies nothing)."""
 
     rows: Callable[..., tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
     params: tuple[str, ...] = ()
+    upper: Callable[..., np.ndarray] | None = None
 
 
 # The one table of named norms.  `NormSpec`, `haarlab norm` (which spells
@@ -257,9 +375,9 @@ class NormEntry:
 NORMS: dict[str, NormEntry] = {
     "lp": NormEntry(lambda F, mu, p: (lp_rows(F, mu, p), None), ("p",)),
     "weak_l1": NormEntry(lambda F, mu: (weak_l1_rows(F, mu), None)),
-    "bmo": NormEntry(lambda F, mu: (bmo_rows(F, mu), None)),
+    "bmo": NormEntry(lambda F, mu: (bmo_rows(F, mu), None), upper=bmo_upper_rows),
     "bmo_osc": NormEntry(lambda F, mu: (bmo_osc_rows(F, mu), None)),
-    "lambda": NormEntry(lambda_rows, ("q", "alpha")),
+    "lambda": NormEntry(lambda_rows, ("q", "alpha"), lambda_upper_rows),
     "h1": NormEntry(lambda F, mu: (h1_rows(F, mu), None)),
 }
 
@@ -287,6 +405,14 @@ class NormSpec:
         """The norm of every row of a (P, 2**depth) array."""
         params = self.params()  # raises NormError for an unknown name
         return NORMS[self.name].rows(F, mu, **params)[0]
+
+    def upper_rows(self, F: np.ndarray, mu: MeasureTree) -> np.ndarray | None:
+        """A certified upper bound on what `evaluate_rows` computes for every
+        row, or None where the norm has no bound.  A row whose bound lies
+        below a value already attained cannot attain or exceed it."""
+        params = self.params()
+        upper = NORMS[self.name].upper
+        return None if upper is None else upper(F, mu, **params)
 
     def evaluate(self, f: StepFunction, mu: MeasureTree) -> NormValue:
         """The norm's value, with a witness node where the norm has one: the

@@ -142,18 +142,17 @@ N_RANDOM_BLOCKS = 10
 
 
 def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator):
-    """All shallow nodes plus a seeded sample of deeper ones."""
+    """All shallow nodes plus a seeded sample of deeper ones.  The deep
+    nodes are drawn by index: the i-th deep node, in level-then-index
+    order, sits at heap position 2**(shallow_max + 1) + i."""
     tree = mu.tree
     shallow_max = min(4, tree.depth)
-    nodes = [Node(k, j) for k in range(shallow_max + 1) for j in range(1 << k)]
-    deep = [
-        Node(k, j)
-        for k in range(shallow_max + 1, tree.depth + 1)
-        for j in range(1 << k)
-    ]
-    if deep:
-        picks = rng.choice(len(deep), size=min(DEEP_NODE_SAMPLE, len(deep)), replace=False)
-        nodes.extend(deep[int(i)] for i in sorted(picks))
+    first_deep = 2 << shallow_max
+    nodes = [tree.node_at(p) for p in range(1, first_deep)]
+    n_deep = (2 << tree.depth) - first_deep
+    if n_deep:
+        picks = rng.choice(n_deep, size=min(DEEP_NODE_SAMPLE, n_deep), replace=False)
+        nodes.extend(tree.node_at(first_deep + int(i)) for i in sorted(picks))
     return nodes
 
 
@@ -191,6 +190,35 @@ def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
     return blocks
 
 
+def _contending_ratios(
+    target: NormSpec, images: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
+) -> np.ndarray:
+    """target(image) / denom for every row that can still beat the running
+    maximum `bar`, and -inf for every other row.
+
+    Where the target has a certified upper bound (`NormSpec.upper_rows`),
+    the row with the largest finite bound ratio is evaluated first and may
+    raise the bar; then, in one batch, every row whose bound ratio is not
+    below the bar.  Rounding is monotone, so a skipped row's ratio is at
+    most its bound ratio, which lies strictly below a ratio already
+    attained: each skipped row is certified neither to raise the maximum
+    nor to tie it.  A target without a bound has every row evaluated."""
+    upper = target.upper_rows(images, mu)
+    bounds = np.full(len(images), np.inf) if upper is None else upper / denoms
+    ratios = np.full(len(images), -np.inf)
+    done = np.zeros(len(images), dtype=bool)
+    finite = np.isfinite(bounds)
+    if finite.any():
+        lead = first_max(np.where(finite, bounds, -np.inf))
+        ratios[lead] = target.evaluate_rows(images[lead : lead + 1], mu)[0] / denoms[lead]
+        bar = max(bar, ratios[lead])  # a NaN ratio leaves the bar as it is
+        done[lead] = True
+    todo = ~(bounds < bar) & ~done
+    if todo.any():
+        ratios[todo] = target.evaluate_rows(images[todo], mu) / denoms[todo]
+    return ratios
+
+
 def _suite_maxima(
     battery: dict[str, Shift],
     mu: MeasureTree,
@@ -200,7 +228,10 @@ def _suite_maxima(
 ) -> dict[str, float]:
     """Max ratio per shift of target(T f) / denom over the rows f of
     `inputs`, skipping denominators that are not finite and positive; -inf
-    where none is.  Chunk by chunk, the spectra are shared across shifts."""
+    where none is.  Chunk by chunk, the spectra are shared across shifts,
+    and the target is evaluated only on the images that can still beat the
+    running maximum (`_contending_ratios`): every skipped image is
+    certified not to raise it, so the maxima are those of evaluating all."""
     best = dict.fromkeys(battery, -np.inf)
     rows = np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
     for chunk in row_chunks(len(rows), mu.depth):
@@ -208,7 +239,7 @@ def _suite_maxima(
         _, coeffs = analyze_rows(inputs[picked], mu)
         for shift_name, T in battery.items():
             images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
-            ratios = target.evaluate_rows(images, mu) / denoms[picked]
+            ratios = _contending_ratios(target, images, mu, denoms[picked], best[shift_name])
             i = first_max(ratios)
             if ratios[i] > best[shift_name]:
                 best[shift_name] = float(ratios[i])

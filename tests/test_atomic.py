@@ -104,6 +104,52 @@ def test_random_block_always_valid(mu):
         random_block(mu, mu.depth, 2, np.random.default_rng(0))
 
 
+def _ref_random_block(mu, base_level, n_subatoms, rng):
+    # `random_block` as it was before it drew by index, verbatim
+    if not 0 <= base_level <= mu.depth - 1:
+        raise NormError(f"base level {base_level} out of range")
+    candidates = [
+        Node(k, j)
+        for k in range(base_level, mu.depth)
+        for j in range(1 << k)
+    ]
+    picks = rng.choice(len(candidates), size=min(n_subatoms, len(candidates)), replace=False)
+    blocks, weights = [], []
+    for i in picks:
+        node = candidates[int(i)]
+        b = haar_block(mu, node)
+        b = AtomicBlock(base_level, b.p, b.subatoms)  # rebase to the shared level
+        # rebasing tightens the size budget by 1/(level - base + 1); shrink
+        # the subatom and grow its weight to keep the same function
+        penalty = node.level - base_level + 1
+        sa = b.subatoms[0]
+        b = AtomicBlock(
+            base_level, b.p,
+            (Subatom(sa.weight * penalty, (1.0 / penalty) * sa.func, sa.node),),
+        )
+        blocks.append(b)
+        weights.append(float(rng.uniform(-2.0, 2.0)))
+    return combine_blocks(blocks, weights)
+
+
+@pytest.mark.parametrize("depth", range(1, 15))
+def test_random_block_matches_reference(depth):
+    mu = random_doubling(depth, seed=depth)
+    for seed, base in enumerate(sorted({0, depth // 2, depth - 1})):
+        for n_subatoms in (1, 3, 5):
+            rng = np.random.default_rng([seed, n_subatoms])
+            ref_rng = np.random.default_rng([seed, n_subatoms])
+            got = random_block(mu, base, n_subatoms, rng)
+            want = _ref_random_block(mu, base, n_subatoms, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (got.base_level, got.p) == (want.base_level, want.p)
+            assert [(sa.weight, sa.node) for sa in got.subatoms] == [
+                (sa.weight, sa.node) for sa in want.subatoms
+            ]
+            for a, b in zip(got.subatoms, want.subatoms):
+                assert np.array_equal(a.func.values, b.func.values)
+
+
 def test_atb_upper_bound(mu):
     rng = np.random.default_rng(23)
     f = StepFunction(mu.depth, rng.standard_normal(16))

@@ -227,8 +227,11 @@ def test_cli_norm_rejects_unused_flags(tmp_path, capsys):
 def test_cli_norm_exit_codes(tmp_path):
     mu_path = _gen_measure(tmp_path)
     f_path = _save_function(tmp_path, mu_path)
-    # parameter error: p < 1, or a NaN parameter
-    for flags in (["lp", "--p", "0.5"], ["lp", "--p", "nan"], ["lambda", "--alpha", "nan"]):
+    # parameter error: p < 1, a NaN parameter, or an infinite alpha
+    for flags in (
+        ["lp", "--p", "0.5"], ["lp", "--p", "nan"], ["lambda", "--alpha", "nan"],
+        ["lambda", "--alpha", "inf"],
+    ):
         code = main(
             ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", *flags]
         )
@@ -436,6 +439,17 @@ def test_cli_family_flags_must_be_taken(tmp_path, capsys):
     assert main(theorem + both + ["--out", out]) == 0
     rows = list(csv.reader((tmp_path / "x.out").read_text().splitlines()[1:]))
     assert {r[0] for r in rows} == {"lebesgue", "geometric_unbalanced,q=0.3"}
+
+
+def test_cli_study_alpha_must_be_finite(capsys):
+    # an infinite Lipschitz order was run and gave inf and nan estimates
+    theorem = ["study", "theorem", "--name", "TheoremB", "--family", "lebesgue",
+               "--depths", "4:4", "--trials", "1"]
+    blowup = ["study", "blowup", "--family", "geometric_unbalanced", "--depths", "4:5"]
+    for argv in (theorem, blowup):
+        assert main(argv + ["--alpha", "inf"]) == 3
+        assert "alpha must be a finite real >= 0" in capsys.readouterr().err
+        assert main(argv + ["--alpha", "2"]) == 0
 
 
 def test_cli_study_blowup_takes_one_family():

@@ -105,6 +105,8 @@ def test_lambda_norm_witness(mu):
         lambda_norm(f, mu, np.nan, 0.0)
     with pytest.raises(NormError):
         lambda_norm(f, mu, 2.0, np.nan)
+    with pytest.raises(NormError, match="alpha must be a finite real"):
+        lambda_norm(f, mu, 2.0, np.inf)
 
 
 def test_lambda_scales_homogeneously(mu):
@@ -124,6 +126,8 @@ def test_haar_lambda2_closed_form(mu):
         haar_lambda2_norm(mu, Node(mu.depth, 0), 0.0)
     with pytest.raises(NormError):
         haar_lambda2_norm(mu, Node(0, 0), np.nan)
+    with pytest.raises(NormError, match="alpha must be a finite real"):
+        haar_lambda2_norm(mu, Node(0, 0), np.inf)
 
 
 def test_h1_norm_is_l1_of_square_function(mu):
@@ -256,6 +260,66 @@ def test_norm_spec_dispatch(mu):
         assert spec.label() == label
     with pytest.raises(NormError):
         NormSpec("nope")(f, mu)
+
+
+# the norms with a certified upper bound, over q in {1, 2, 3} and alpha in
+# {0, 1/2, 2}
+BOUNDED_NORMS = [NormSpec("bmo")] + [
+    NormSpec("lambda", q=q, alpha=alpha) for q in (1.0, 2.0, 3.0) for alpha in (0.0, 0.5, 2.0)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(depth=st.integers(1, 8), data=st.data())
+def test_upper_bounds_dominate_computed_norms(depth, data):
+    """On every row it certifies, `upper_rows` bounds the value that
+    `evaluate_rows` computes, with masses down to 1e-300 and values from
+    1e-160 to 1e150; a zero row gets 0, a NaN or inf row no finite bound."""
+    n = 1 << depth
+    mass_exps = data.draw(arrays(np.float64, n, elements=st.floats(-300.0, 0.0)))
+    mu = MeasureTree(DyadicTree(depth), 10.0**mass_exps)
+    scale = 10.0 ** data.draw(st.floats(-160.0, 150.0))
+    uniform = data.draw(arrays(np.float64, (2, n), elements=st.floats(-1.0, 1.0)))
+    value_exps = data.draw(arrays(np.float64, n, elements=st.floats(-160.0, 150.0)))
+    signs = data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    F = np.vstack([
+        uniform * scale,
+        signs * 10.0**value_exps,  # magnitudes spread over the whole range
+        np.full(n, scale),  # constant
+        np.repeat(uniform[0, ::2], 2) * scale,  # equal sibling leaves
+        np.zeros(n),
+        np.where(np.arange(n) == 0, np.nan, scale),
+        np.where(np.arange(n) == n - 1, -np.inf, scale),
+    ])
+    for spec in BOUNDED_NORMS:
+        with np.errstate(all="ignore"):
+            values = spec.evaluate_rows(F, mu)
+            bound = spec.upper_rows(F, mu)
+        certified = np.isfinite(bound)
+        assert np.all(values[certified] <= bound[certified]), spec
+        assert bound[-3] == 0.0
+        assert not certified[-2:].any()
+    assert NormSpec("h1").upper_rows(F[:1], mu) is None
+    assert NormSpec("lp", p=1.0).upper_rows(F[:1], mu) is None
+
+
+def test_upper_bounds_admit_ordinary_rows():
+    """At ordinary magnitudes every row is certified, and the bound is the
+    largest deviation from a parent average (times the mass weight for
+    Lambda), so it is tight on a Haar function's leaves."""
+    for kind in GENERATORS:
+        mu = generate(kind, 6, seed=1)
+        F = np.random.default_rng(1).standard_normal((5, 64))
+        for spec in BOUNDED_NORMS:
+            bound = spec.upper_rows(F, mu)
+            assert np.all(np.isfinite(bound))
+            assert np.all(spec.evaluate_rows(F, mu) <= bound)
+    mu = lebesgue(4)
+    h = haar_function(mu, Node(3, 0)).values
+    # BMO's leaf level reads |h_x - <h>_parent| = c_I / mu(child) itself
+    assert NormSpec("bmo").upper_rows(h, mu) == pytest.approx(bmo_rows(h, mu), rel=1e-8)
+    with pytest.raises(NormError, match="alpha must be a finite real"):
+        NormSpec("lambda", alpha=np.inf).upper_rows(h, mu)
 
 
 # --- reference level loops ------------------------------------------------

@@ -1,11 +1,13 @@
 """Blowup and boundedness studies plus the canonical CSV emitter."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from haarlab import martingale, studies
 from haarlab.martingale import StepFunction, analyze, synthesize
-from haarlab.measure import GENERATORS, MeasureError, generate, geometric_unbalanced
+from haarlab.measure import GENERATORS, MeasureError, generate, geometric_unbalanced, lebesgue
 from haarlab.norms import NormSpec, haar_lambda2_norm
 from haarlab.studies import (
     SUITES,
@@ -110,6 +112,11 @@ def test_rows_to_csv_canonical():
     assert np.isfinite(value)
 
 
+# the targets with a certified upper bound, at Lambda parameters the suites
+# do not use
+BOUNDED_TARGETS = [NormSpec("lambda", q=3.0, alpha=2.0), NormSpec("lambda", q=1.0, alpha=0.5)]
+
+
 def _ref_suite_maxima(battery, mu, inputs, target):
     # the per-function suite loop before the probe axis, verbatim
     spectra = [(analyze(f, mu), denom) for f, denom in inputs]
@@ -132,17 +139,30 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
     battery = default_shift_battery(depth)
     probes = [f.values for f in probe_battery(mu, 3, n_random=2)]
     probes += [b.function(depth).values for b in block_battery(mu, 3)]
-    F = np.stack(probes)
+    n = 1 << depth
+    hard = [
+        np.zeros(n),  # zero images, bound 0
+        probes[5], probes[5], 2.0 * probes[7], probes[7],  # ties
+        np.where(np.arange(n) == 3, np.nan, 1.0),
+        np.where(np.arange(n) == 0, np.inf, probes[9]),
+        1e150 * probes[11], 1e-160 * probes[11],  # outside the certified range
+        1e-140 * probes[12], 1e140 * probes[13],
+    ]
+    F = np.stack(probes + hard)
     denoms = np.random.default_rng(3).uniform(0.5, 2.0, len(F))
     denoms[[1, 4, 6, 9]] = [0.0, -1.0, np.nan, np.inf]  # rows to skip
+    denoms[-10:-6] = [1.0, 1.0, 2.0, 1.0]  # the tied pairs tie in ratio
     inputs = [(StepFunction(depth, row), float(d)) for row, d in zip(F, denoms)]
-    for _, target in SUITES.values():
-        expected = _ref_suite_maxima(battery, mu, inputs, target)
+    targets = [target for _, target in SUITES.values()] + BOUNDED_TARGETS
+    for target in targets:
+        with np.errstate(all="ignore"):
+            expected = _ref_suite_maxima(battery, mu, inputs, target)
         # one chunk, one row per chunk, and seven rows per chunk
         for chunk_bytes in (martingale.CHUNK_BYTES, 8, 7 * 8 << depth):
             monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
-            got = studies._suite_maxima(battery, mu, F, denoms, target)
-            assert repr(got) == repr(expected)
+            with np.errstate(all="ignore"):
+                got = studies._suite_maxima(battery, mu, F, denoms, target)
+            assert repr(got) == repr(expected), target
     # no usable denominator leaves every maximum at -inf
     none = studies._suite_maxima(battery, mu, F[:3], np.zeros(3), NormSpec("bmo"))
     assert none == dict.fromkeys(battery, -np.inf)
@@ -157,3 +177,85 @@ def test_theorem_suite_chunking_leaves_csv_unchanged(monkeypatch):
             csv = rows_to_csv(theorem_suite(name, fams, [4, 6], seed=2, n_random=2))
             assert csv == expected
         monkeypatch.undo()
+
+
+SUITE_FAMILIES = [
+    {"kind": "lebesgue"},
+    {"kind": "random_doubling", "p_min": 0.4, "p_max": 0.6},
+    {"kind": "geometric_unbalanced", "q": 0.5},
+    {"kind": "spine", "M": 1000.0},
+]
+
+
+def test_theorem_suite_csv_unchanged_without_bounds(monkeypatch):
+    """Skipping images by their certified bounds leaves every suite's CSV as
+    evaluating every image does."""
+    runs = [(name, 0.5) for name in THEOREM_NAMES] + [("TheoremB", 0.25)]
+
+    def csvs():
+        return [
+            rows_to_csv(theorem_suite(name, SUITE_FAMILIES, [4, 5, 6, 7, 8], alpha=alpha, n_random=3))
+            for name, alpha in runs
+        ]
+
+    pruned = csvs()
+    monkeypatch.setattr(NormSpec, "upper_rows", lambda self, F, mu: None)
+    assert csvs() == pruned
+
+
+def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
+    """The BMO and Lambda targets are evaluated on fewer images than the
+    suite makes; the H1 targets, which have no bound, on all of them."""
+    mu = generate("random_doubling", 8, seed=0)
+    battery = default_shift_battery(8)
+    probes = np.stack([f.values for f in probe_battery(mu, 0, n_random=6)])
+    blocks = block_battery(mu, 0)
+    block_rows = np.stack([b.function(8).values for b in blocks])
+    block_costs = np.array([b.cost for b in blocks])
+    evaluated = []
+    evaluate_rows = NormSpec.evaluate_rows
+
+    def counting(self, F, mu):
+        evaluated.append(len(F))
+        return evaluate_rows(self, F, mu)
+
+    for name, (source, target) in SUITES.items():
+        if source is None:
+            inputs, denoms = block_rows, block_costs
+        else:
+            target = replace(target, alpha=0.5)
+            inputs, denoms = probes, replace(source, alpha=0.5).evaluate_rows(probes, mu)
+        evaluated.clear()
+        monkeypatch.setattr(NormSpec, "evaluate_rows", counting)
+        studies._suite_maxima(battery, mu, inputs, denoms, target)
+        monkeypatch.undo()
+        total = len(battery) * np.count_nonzero((denoms > 0) & np.isfinite(denoms))
+        if source is None:
+            assert sum(evaluated) == total, name
+        else:
+            assert 0 < sum(evaluated) < total, name
+
+
+def _ref_sampled_nodes(mu, rng):
+    # `_sampled_nodes` as it was before it drew by index, verbatim
+    tree = mu.tree
+    shallow_max = min(4, tree.depth)
+    nodes = [Node(k, j) for k in range(shallow_max + 1) for j in range(1 << k)]
+    deep = [
+        Node(k, j)
+        for k in range(shallow_max + 1, tree.depth + 1)
+        for j in range(1 << k)
+    ]
+    if deep:
+        picks = rng.choice(len(deep), size=min(studies.DEEP_NODE_SAMPLE, len(deep)), replace=False)
+        nodes.extend(deep[int(i)] for i in sorted(picks))
+    return nodes
+
+
+@pytest.mark.parametrize("depth", range(1, 15))
+def test_sampled_nodes_match_reference(depth):
+    mu = lebesgue(depth)
+    for seed in range(4):
+        rng, ref_rng = np.random.default_rng([seed, depth]), np.random.default_rng([seed, depth])
+        assert studies._sampled_nodes(mu, rng) == _ref_sampled_nodes(mu, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
