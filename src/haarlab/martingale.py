@@ -290,16 +290,15 @@ def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:
     """Dense matrix of all Haar functions: row heap(I) - 1 holds the leaf
     values of h_I.  Intended for small depths (Gram-matrix checks)."""
     n = 1 << mu.depth
-    tree = mu.tree
     out = np.zeros((n - 1, n))
-    c = mu.haar_constant_heap
-    for p in range(1, n):
-        node = tree.node_at(p)
-        left, right = tree.children(node)
-        llo, lhi = tree.leaf_range(left)
-        rlo, rhi = tree.leaf_range(right)
-        out[p - 1, llo:lhi] = c[p] / mu.mass_heap[2 * p]
-        out[p - 1, rlo:rhi] = -c[p] / mu.mass_heap[2 * p + 1]
+    c, mass = mu.haar_constant_heap, mu.mass_heap
+    for k in range(mu.depth):
+        lo, hi = 1 << k, 1 << (k + 1)
+        # the rows of level k as (node, node's support, child, child's leaves)
+        blocks = out[lo - 1 : hi - 1].reshape(lo, lo, 2, n >> (k + 1))
+        diag = np.arange(lo)
+        blocks[diag, diag, 0] = (c[lo:hi] / mass[2 * lo : 2 * hi : 2])[:, None]
+        blocks[diag, diag, 1] = -(c[lo:hi] / mass[2 * lo + 1 : 2 * hi : 2])[:, None]
     return out
 
 

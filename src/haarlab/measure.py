@@ -58,7 +58,18 @@ class MeasureTree:
         self.leaf_masses = masses
         self.mass_heap = mass_heap
         self.min_child_heap = np.append(np.nan, np.minimum(left, right))
-        self.haar_constant_heap = np.append(np.nan, np.sqrt(left * right / mass_heap[1:n]))
+        # mu(I-) mu(I+) leaves the normal range for very small or very large
+        # masses; there c_I is taken as sqrt(mu(I-)) sqrt(mu(I+) / mu(I)),
+        # where every factor stays in range
+        with np.errstate(over="ignore", under="ignore"):
+            prod = left * right
+        normal = np.isfinite(prod) & (prod >= np.finfo(np.float64).tiny)
+        haar_constant = np.where(
+            normal,
+            np.sqrt(prod / mass_heap[1:n]),
+            np.sqrt(left) * np.sqrt(right / mass_heap[1:n]),
+        )
+        self.haar_constant_heap = np.append(np.nan, haar_constant)
         for heap in (masses, mass_heap, self.min_child_heap, self.haar_constant_heap):
             heap.setflags(write=False)
 

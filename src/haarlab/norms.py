@@ -11,7 +11,8 @@ BMO and Lambda_q(alpha) also have a cheap certified upper bound per row
 (`bmo_upper_rows`, `lambda_upper_rows`): a bound on the value the kernel
 *computes*, rounding included.  A caller that only needs the maximum over
 many rows may skip every row whose bound lies below a value already
-attained; such a row provably cannot raise the maximum.
+attained (`contending_ratios`); such a row provably cannot raise the
+maximum.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .martingale import (
     StepFunction,
     average_heap,
+    first_max,
     average_rows,
     haar_constant,
     square_function_rows,
@@ -428,3 +430,34 @@ class NormSpec:
     def label(self) -> str:
         params = ",".join(f"{k}={v:g}" for k, v in self.params().items())
         return f"{self.name}[{params}]" if params else self.name
+
+
+def contending_ratios(
+    target: NormSpec, images: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
+) -> np.ndarray:
+    """target(image) / denom for every row that can still beat the running
+    maximum `bar`, and -inf for every other row; every denominator is
+    finite and positive.  The theorem suites and `opnorm_lower_bound`'s node
+    probes skip rows by this one rule.
+
+    Where the target has a certified upper bound (`NormSpec.upper_rows`),
+    the row with the largest finite bound ratio is evaluated first and may
+    raise the bar; then, in one batch, every row whose bound ratio is not
+    below the bar.  Rounding is monotone, so a skipped row's ratio is at
+    most its bound ratio, which lies strictly below a ratio already
+    attained: each skipped row is certified neither to raise the maximum
+    nor to tie it.  A target without a bound has every row evaluated."""
+    upper = target.upper_rows(images, mu)
+    bounds = np.full(len(images), np.inf) if upper is None else upper / denoms
+    ratios = np.full(len(images), -np.inf)
+    done = np.zeros(len(images), dtype=bool)
+    finite = np.isfinite(bounds)
+    if finite.any():
+        lead = first_max(np.where(finite, bounds, -np.inf))
+        ratios[lead] = target.evaluate_rows(images[lead : lead + 1], mu)[0] / denoms[lead]
+        bar = max(bar, ratios[lead])  # a NaN ratio leaves the bar as it is
+        done[lead] = True
+    todo = ~(bounds < bar) & ~done
+    if todo.any():
+        ratios[todo] = target.evaluate_rows(images[todo], mu) / denoms[todo]
+    return ratios

@@ -18,15 +18,17 @@ import scipy.linalg
 from .martingale import (
     HaarSpectrum,
     StepFunction,
+    _chunk_rows,
     analyze_rows,
     first_max,
     haar_function,
+    row_chunks,
     stack_chunks,
     synthesize,
     synthesize_rows,
 )
 from .measure import MeasureTree
-from .norms import NormSpec
+from .norms import NormSpec, contending_ratios
 from .shift import Shift, haar_matrix
 from .tree import Node
 
@@ -102,21 +104,34 @@ def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
 
 
 def _ratio_rows(
-    T: Shift, F: np.ndarray, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
+    T: Shift,
+    F: np.ndarray,
+    mu: MeasureTree,
+    from_norm: NormSpec,
+    to_norm: NormSpec,
+    bar: float | None = None,
 ) -> np.ndarray:
-    """to_norm(T f) / from_norm(f) for every row f of F; -inf where the
-    denominator is 0 or not finite."""
-    denom = from_norm.evaluate_rows(F, mu)
-    _, coeffs = analyze_rows(F, mu)
-    num = to_norm.evaluate_rows(synthesize_rows(0.0, T.apply_rows(coeffs), mu), mu)
-    out = np.full(F.shape[:-1], -np.inf)
-    return np.divide(num, denom, out=out, where=(denom != 0.0) & np.isfinite(denom))
+    """to_norm(T f) / from_norm(f) for every row f of a (P, 2**depth) array
+    F; -inf where the denominator is 0 or not finite.  Given a running
+    maximum `bar`, only the rows that can still reach it are evaluated
+    (`norms.contending_ratios`), and the others read -inf too."""
+    denoms = from_norm.evaluate_rows(F, mu)
+    ok = np.flatnonzero((denoms != 0.0) & np.isfinite(denoms))
+    out = np.full(len(F), -np.inf)
+    if ok.size:
+        _, coeffs = analyze_rows(F[ok], mu)
+        images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
+        if bar is None:
+            out[ok] = to_norm.evaluate_rows(images, mu) / denoms[ok]
+        else:
+            out[ok] = contending_ratios(to_norm, images, mu, denoms[ok], bar)
+    return out
 
 
 def _ratio(
     T: Shift, f: StepFunction, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> float:
-    return float(_ratio_rows(T, f.values, mu, from_norm, to_norm))
+    return float(_ratio_rows(T, f.values[None], mu, from_norm, to_norm)[0])
 
 
 def _best_node_probe(
@@ -124,10 +139,12 @@ def _best_node_probe(
 ) -> tuple[float, StepFunction | None]:
     """The first probe of `node_probes` over every node with the largest
     ratio, and that ratio; (-inf, None) when no ratio beats -inf.  The
-    probes are scored a chunk of rows at a time."""
+    probes are scored a chunk of rows at a time, each against the maximum
+    so far: a row certified to lie below it is skipped, and a row that ties
+    it is evaluated, so the first maximum is the one a full scan finds."""
     best_val, best_f = -np.inf, None
     for F in stack_chunks(node_probes(mu, mu.tree.nodes()), mu.depth):
-        vals = _ratio_rows(T, F, mu, from_norm, to_norm)
+        vals = _ratio_rows(T, F, mu, from_norm, to_norm, bar=best_val)
         i = first_max(vals)
         if vals[i] > best_val:
             best_val, best_f = float(vals[i]), StepFunction(mu.depth, F[i].copy())
@@ -170,6 +187,18 @@ def opnorm_lower_bound(
     (seed, t), so enlarging the budget only appends probes and the bound is
     monotone in the budget.  Degenerate probes (zero source norm) are
     skipped.
+
+    Everything is scored in batches of at most `martingale.CHUNK_BYTES`,
+    with the values and witness of scoring one probe at a time.  The node
+    probes skip the rows certified to lie below the maximum so far.  The
+    random starts of a chunk of trials are scored together, and then each
+    trial's ascent runs in trial order.  An ascent draws its step moves
+    (leaf, then step size) from its generator whether or not a move is
+    accepted, and scoring draws nothing, so all moves are drawn up front:
+    the generator stream is that of the one-at-a-time loop.  The remaining
+    moves from the current function are scored as one batch (a chunk at a
+    time), the first that beats it is accepted, and the batch is rebuilt
+    from the move after it: one batch per accepted move, plus one.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -178,15 +207,23 @@ def opnorm_lower_bound(
 
     def ascend(f: StepFunction, val: float, rng: np.random.Generator):
         scale = max(float(np.max(np.abs(f.values))), 1.0)
+        leaves, steps = [], []
         for _ in range(ascent_steps):
-            leaf = int(rng.integers(n))
-            eps = scale * rng.choice([-0.5, -0.1, 0.1, 0.5])
-            vals = f.values.copy()
-            vals[leaf] += eps
-            cand = StepFunction(mu.depth, vals)
-            cand_val = _ratio(T, cand, mu, from_norm, to_norm)
-            if cand_val > val:
-                f, val = cand, cand_val
+            leaves.append(int(rng.integers(n)))
+            steps.append(scale * rng.choice([-0.5, -0.1, 0.1, 0.5]))
+        start = 0
+        while start < ascent_steps:
+            stop = min(ascent_steps, start + _chunk_rows(mu.depth))
+            cands = np.tile(f.values, (stop - start, 1))
+            cands[np.arange(stop - start), leaves[start:stop]] += steps[start:stop]
+            cand_vals = _ratio_rows(T, cands, mu, from_norm, to_norm)
+            better = np.flatnonzero(cand_vals > val)
+            if better.size:
+                k = int(better[0])
+                f, val = StepFunction(mu.depth, cands[k].copy()), float(cand_vals[k])
+                start += k + 1
+            else:
+                start = stop
         return f, val
 
     # one ascent from the best deterministic probe; its start and seed do
@@ -196,14 +233,16 @@ def opnorm_lower_bound(
         if val > best_val:
             best_val, best_f = val, f
 
-    for trial in range(budget):
-        rng = np.random.default_rng([seed, trial])
-        f = StepFunction(mu.depth, rng.standard_normal(n))
-        val = _ratio(T, f, mu, from_norm, to_norm)
-        if np.isfinite(val):
-            f, val = ascend(f, val, rng)
-        if val > best_val:
-            best_val, best_f = val, f
+    for chunk in row_chunks(budget, mu.depth):
+        rngs = [np.random.default_rng([seed, trial]) for trial in range(budget)[chunk]]
+        starts = np.stack([rng.standard_normal(n) for rng in rngs])
+        vals = _ratio_rows(T, starts, mu, from_norm, to_norm)
+        for rng, values, val in zip(rngs, starts, vals.tolist()):
+            f = StepFunction(mu.depth, values)
+            if np.isfinite(val):
+                f, val = ascend(f, val, rng)
+            if val > best_val:
+                best_val, best_f = val, f
 
     if best_f is None:
         best_f = StepFunction.indicator(mu.tree, Node(0, 0))

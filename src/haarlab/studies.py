@@ -23,7 +23,7 @@ from .martingale import (
     synthesize_rows,
 )
 from .measure import MeasureTree, generate
-from .norms import NormSpec, haar_lambda2_norm, lambda_norm
+from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
 from .opnorm import node_probes
 from .shift import CanonicalShift, Shift, apply_shift, dense_alphas, petermichl
 from .tree import Node
@@ -190,35 +190,6 @@ def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
     return blocks
 
 
-def _contending_ratios(
-    target: NormSpec, images: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
-) -> np.ndarray:
-    """target(image) / denom for every row that can still beat the running
-    maximum `bar`, and -inf for every other row.
-
-    Where the target has a certified upper bound (`NormSpec.upper_rows`),
-    the row with the largest finite bound ratio is evaluated first and may
-    raise the bar; then, in one batch, every row whose bound ratio is not
-    below the bar.  Rounding is monotone, so a skipped row's ratio is at
-    most its bound ratio, which lies strictly below a ratio already
-    attained: each skipped row is certified neither to raise the maximum
-    nor to tie it.  A target without a bound has every row evaluated."""
-    upper = target.upper_rows(images, mu)
-    bounds = np.full(len(images), np.inf) if upper is None else upper / denoms
-    ratios = np.full(len(images), -np.inf)
-    done = np.zeros(len(images), dtype=bool)
-    finite = np.isfinite(bounds)
-    if finite.any():
-        lead = first_max(np.where(finite, bounds, -np.inf))
-        ratios[lead] = target.evaluate_rows(images[lead : lead + 1], mu)[0] / denoms[lead]
-        bar = max(bar, ratios[lead])  # a NaN ratio leaves the bar as it is
-        done[lead] = True
-    todo = ~(bounds < bar) & ~done
-    if todo.any():
-        ratios[todo] = target.evaluate_rows(images[todo], mu) / denoms[todo]
-    return ratios
-
-
 def _suite_maxima(
     battery: dict[str, Shift],
     mu: MeasureTree,
@@ -230,7 +201,7 @@ def _suite_maxima(
     `inputs`, skipping denominators that are not finite and positive; -inf
     where none is.  Chunk by chunk, the spectra are shared across shifts,
     and the target is evaluated only on the images that can still beat the
-    running maximum (`_contending_ratios`): every skipped image is
+    running maximum (`norms.contending_ratios`): every skipped image is
     certified not to raise it, so the maxima are those of evaluating all."""
     best = dict.fromkeys(battery, -np.inf)
     rows = np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
@@ -239,7 +210,7 @@ def _suite_maxima(
         _, coeffs = analyze_rows(inputs[picked], mu)
         for shift_name, T in battery.items():
             images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
-            ratios = _contending_ratios(target, images, mu, denoms[picked], best[shift_name])
+            ratios = contending_ratios(target, images, mu, denoms[picked], best[shift_name])
             i = first_max(ratios)
             if ratios[i] > best[shift_name]:
                 best[shift_name] = float(ratios[i])

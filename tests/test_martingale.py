@@ -286,3 +286,28 @@ def test_chunks_cover_rows_in_order(monkeypatch):
     stacks = list(stack_chunks(iter(fs), 4))
     assert [len(s) for s in stacks] == [3, 3, 1]
     assert np.array_equal(np.concatenate(stacks)[:, 0], np.arange(7.0))
+
+
+# haar_basis_matrix as it was before it was written level by level, copied
+# verbatim as its reference.
+def _ref_haar_basis_matrix(mu):
+    n = 1 << mu.depth
+    tree = mu.tree
+    out = np.zeros((n - 1, n))
+    c = mu.haar_constant_heap
+    for p in range(1, n):
+        node = tree.node_at(p)
+        left, right = tree.children(node)
+        llo, lhi = tree.leaf_range(left)
+        rlo, rhi = tree.leaf_range(right)
+        out[p - 1, llo:lhi] = c[p] / mu.mass_heap[2 * p]
+        out[p - 1, rlo:rhi] = -c[p] / mu.mass_heap[2 * p + 1]
+    return out
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_haar_basis_matrix_matches_node_loop(depth):
+    measures, _ = _transform_cases(depth)
+    for mu in measures:
+        H = haar_basis_matrix(mu)
+        assert H.tobytes() == _ref_haar_basis_matrix(mu).tobytes()

@@ -1,7 +1,12 @@
 """Measure construction, balance diagnostics, and the generator families."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from haarlab.martingale import StepFunction, analyze, synthesize
 
 from haarlab.measure import (
     GENERATORS,
@@ -87,6 +92,40 @@ def test_min_child_and_haar_constant_heaps():
             # each entry is the formula itself, bit for bit
             assert m[p] == min(ml, mr) == mu.min_child_mass(node)
             assert c[p] == np.sqrt(ml * mr / mu.mass(node))
+
+
+def _exact_sqrt_bracket(x: Fraction, bits: int = 2400) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sqrt(x) < lo + 2**-bits."""
+    lo = Fraction(math.isqrt(math.floor(x * 4**bits)), 2**bits)
+    return lo, lo + Fraction(1, 2**bits)
+
+
+# c_I = sqrt(mu(I-) mu(I+) / mu(I)) is three roundings from the float child
+# and parent masses in the product form, and four in the scaled form used
+# where the product leaves the normal range: at most 3.5 * 2**-53 relative,
+# so at most 4 ulps.  Worst observed here: 1.68 ulps.
+HAAR_CONSTANT_ULPS = 4
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+def test_haar_constant_heap_stays_in_range(scale):
+    rng = np.random.default_rng(17)
+    measures = [
+        MeasureTree(DyadicTree(2), np.full(4, scale)),
+        MeasureTree(DyadicTree(5), scale * rng.uniform(0.5, 2.0, 32)),
+    ]
+    for mu in measures:
+        c, mass = mu.haar_constant_heap, mu.mass_heap
+        for p in range(1, 1 << mu.depth):
+            exact = Fraction(mass[2 * p]) * Fraction(mass[2 * p + 1]) / Fraction(mass[p])
+            lo, hi = _exact_sqrt_bracket(exact)
+            err = max(abs(Fraction(c[p]) - lo), abs(Fraction(c[p]) - hi))
+            assert err <= HAAR_CONSTANT_ULPS * Fraction(math.ulp(c[p]))
+    # the coefficients of [1, 2, 3, 4] scale as sqrt(scale), not 0 or inf
+    f = StepFunction(2, np.array([1.0, 2.0, 3.0, 4.0]))
+    spec = analyze(f, measures[0])
+    assert np.all(np.isfinite(spec.coeffs)) and np.all(spec.coeffs[1:] != 0.0)
+    assert np.allclose(synthesize(spec, measures[0]).values, f.values, rtol=1e-14)
 
 
 def test_geometric_unbalanced_grows():

@@ -114,9 +114,9 @@ def test_deterministic_probe_order(monkeypatch):
     seen = []
     ratio_rows = opnorm._ratio_rows
 
-    def spy(T, F, mu_, from_norm, to_norm):
+    def spy(T, F, mu_, from_norm, to_norm, bar=None):
         seen.extend(F.copy())
-        return ratio_rows(T, F, mu_, from_norm, to_norm)
+        return ratio_rows(T, F, mu_, from_norm, to_norm, bar)
 
     # every ratio, batched or one-row, is scored by _ratio_rows
     monkeypatch.setattr(opnorm, "_ratio_rows", spy)
@@ -205,6 +205,11 @@ def _opnorm_shifts(depth):
     ]
 
 
+# (budget, ascent_steps, seed) of the reference comparison: each of three
+# budgets, ascent lengths and seeds, and budget 10 with two ascent lengths
+CASES = [(2, 20, 3), (1, 0, 11), (10, 1, 29), (10, 20, 11)]
+
+
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 def test_node_probe_stage_matches_sequential_reference(kind, monkeypatch):
     for depth in (3, 5):
@@ -224,14 +229,23 @@ def test_node_probe_stage_matches_sequential_reference(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 def test_lower_bound_matches_sequential_reference(kind, monkeypatch):
-    monkeypatch.setattr(martingale, "CHUNK_BYTES", 5 * 8 << 4)  # five rows per chunk
+    # budgets of one trial, of two and of more trials than a chunk holds;
+    # no ascent, a one-step ascent and the default ascent; chunks of one,
+    # three and five rows, so ascent batches and trial batches split
     mu = generate(kind, 4, seed=7)
     for T in _opnorm_shifts(4):
         for from_n, to_n in PAIRS:
-            est = opnorm_lower_bound(T, mu, from_n, to_n, budget=2, seed=3)
-            ref_val, ref_f = _ref_opnorm_lower_bound(T, mu, from_n, to_n, budget=2, seed=3)
-            assert repr(est.lower_bound) == repr(ref_val)
-            assert est.witness.values.tobytes() == ref_f.values.tobytes()
+            for budget, steps, seed in CASES:
+                ref_val, ref_f = _ref_opnorm_lower_bound(
+                    T, mu, from_n, to_n, budget=budget, seed=seed, ascent_steps=steps
+                )
+                for rows in (1, 3, 5):
+                    monkeypatch.setattr(martingale, "CHUNK_BYTES", rows * 8 << 4)
+                    est = opnorm_lower_bound(
+                        T, mu, from_n, to_n, budget=budget, seed=seed, ascent_steps=steps
+                    )
+                    assert repr(est.lower_bound) == repr(ref_val)
+                    assert est.witness.values.tobytes() == ref_f.values.tobytes()
 
 
 def test_node_probe_stage_without_a_finite_ratio(mu):
