@@ -61,7 +61,7 @@ def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
     on T*T, with a deterministic seeded start and an iteration cap of
     10 * 2**depth.  Non-convergence is flagged, never raised.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tolerance must be positive, got {tol}")
     mat = haar_matrix(T, mu)
     n = mat.shape[0]
@@ -202,6 +202,8 @@ def opnorm_lower_bound(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if ascent_steps < 0:
+        raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     n = 1 << mu.depth
     best_val, best_f = _best_node_probe(T, mu, from_norm, to_norm)
 

@@ -7,6 +7,7 @@ analysis pass, a sparse coefficient shuffle, and one synthesis pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,18 +115,29 @@ class GeneralShift:
             self._alpha.tolist(),
         ))
 
+    @cached_property
+    def _matrix(self) -> sp.csr_matrix:
+        """The coefficient action as a (2**depth, 2**depth) matrix: row S,
+        column R, one stored entry per term, the terms of a row in term order
+        (a stable sort by S).  Entries with equal (R, S) stay separate: the
+        product adds a row's terms one at a time, in that order."""
+        n = 1 << self.depth
+        order = np.argsort(self._s_pos, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._s_pos, minlength=n), out=indptr[1:])
+        return sp.csr_matrix((self._alpha[order], self._r_pos[order], indptr), shape=(n, n))
+
     def apply_rows(self, coeffs: np.ndarray) -> np.ndarray:
         """The coefficient action on every row of (..., 2**depth) coefficient
-        heaps; terms sharing an S add in term order."""
-        if coeffs.shape[-1:] != (1 << self.depth,):
-            raise ShiftError(
-                f"expected rows of {1 << self.depth} coefficients, got shape {coeffs.shape}"
-            )
-        out = np.zeros(coeffs.shape)
-        # indexing the first axis of the transposes keeps numpy's fast
-        # add.at path for a single row
-        np.add.at(out.T, self._s_pos, (self._alpha * coeffs.take(self._r_pos, axis=-1)).T)
-        return out
+        heaps, as one sparse product: out[s] = sum of alpha * coeffs[r] over
+        the terms with that S, added from 0.0 in term order."""
+        n = 1 << self.depth
+        if coeffs.shape[-1:] != (n,):
+            raise ShiftError(f"expected rows of {n} coefficients, got shape {coeffs.shape}")
+        # a product with the transposed rows takes scipy's one-vector path
+        # for one row, and no dense-times-sparse transpose for any count
+        rows = coeffs.reshape(-1, n)
+        return (self._matrix @ rows.T).T.reshape(coeffs.shape)
 
     def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
         if spec.depth != self.depth:

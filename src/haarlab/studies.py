@@ -7,8 +7,11 @@ from the seed plus trial index, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +28,7 @@ from .martingale import (
 from .measure import MeasureTree, generate
 from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
 from .opnorm import node_probes
-from .shift import CanonicalShift, Shift, apply_shift, dense_alphas, petermichl
+from .shift import GeneralShift, Shift, ShiftShape, apply_shift, petermichl
 from .tree import Node
 
 
@@ -119,19 +122,20 @@ THEOREM_NAMES = tuple(SUITES)
 def default_shift_battery(depth: int) -> dict[str, Shift]:
     """The shifts exercised by the boundedness suites: the dyadic Hilbert
     transform, its adjoint, and canonical shifts of complexity <= 2 with
-    coefficients identically +1 or -1."""
-    battery: dict[str, Shift] = {
-        "petermichl": petermichl(depth),
-        "petermichl_adj": petermichl(depth).adjoint(),
-    }
+    coefficients identically +1 or -1, built from heap arrays: every Q whose
+    selected descendants R = (Q << m) + s and S = (Q << n) + t sit above the
+    leaves, in heap order."""
+    hilbert = petermichl(depth)
+    battery: dict[str, Shift] = {"petermichl": hilbert, "petermichl_adj": hilbert.adjoint()}
     for m, s_sel, n, t_sel, a in [
         (1, 0, 0, 0, 1.0),
         (0, 0, 1, 1, -1.0),
         (2, 1, 1, 0, 1.0),
     ]:
         name = f"canonical[m={m},s={s_sel},n={n},t={t_sel},a={a:+g}]"
-        battery[name] = CanonicalShift(
-            depth, m, s_sel, n, t_sel, dense_alphas(depth, m, n, a)
+        q = np.arange(1, 1 << max(depth - max(m, n), 0))
+        battery[name] = GeneralShift.from_heap(
+            depth, ShiftShape(m, n), q, (q << m) + s_sel, (q << n) + t_sel, np.full(len(q), a)
         )
     return battery
 
@@ -190,6 +194,14 @@ def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
     return blocks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _suite_maxima(
     battery: dict[str, Shift],
     mu: MeasureTree,
@@ -202,19 +214,41 @@ def _suite_maxima(
     where none is.  Chunk by chunk, the spectra are shared across shifts,
     and the target is evaluated only on the images that can still beat the
     running maximum (`norms.contending_ratios`): every skipped image is
-    certified not to raise it, so the maxima are those of evaluating all."""
-    best = dict.fromkeys(battery, -np.inf)
+    certified not to raise it, so the maxima are those of evaluating all.
+
+    A shift's running maximum depends on no other shift, so the shifts are
+    split over one worker per usable CPU (at most one per shift).  The
+    calling thread is worker 0 and helper threads run the others; each
+    worker walks every chunk in order and computes its spectra itself, so
+    each shift's fold, and its maximum, is the one-worker fold.  The numpy
+    and scipy kernels release the interpreter lock, so the workers overlap."""
     rows = np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
-    for chunk in row_chunks(len(rows), mu.depth):
-        picked = rows[chunk]
-        _, coeffs = analyze_rows(inputs[picked], mu)
-        for shift_name, T in battery.items():
-            images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
-            ratios = contending_ratios(target, images, mu, denoms[picked], best[shift_name])
-            i = first_max(ratios)
-            if ratios[i] > best[shift_name]:
-                best[shift_name] = float(ratios[i])
-    return best
+
+    def fold(share: list[str]) -> dict[str, float]:
+        best = dict.fromkeys(share, -np.inf)
+        for chunk in row_chunks(len(rows), mu.depth):
+            picked = rows[chunk]
+            _, coeffs = analyze_rows(inputs[picked], mu)
+            for shift_name in share:
+                images = synthesize_rows(0.0, battery[shift_name].apply_rows(coeffs), mu)
+                ratios = contending_ratios(target, images, mu, denoms[picked], best[shift_name])
+                i = first_max(ratios)
+                if ratios[i] > best[shift_name]:
+                    best[shift_name] = float(ratios[i])
+        return best
+
+    names = list(battery)
+    workers = max(1, min(len(names), _usable_cpus()))
+    shares = [names[w::workers] for w in range(workers)]
+    # a pool with no task starts no thread: one worker runs inline.  Each
+    # helper runs in a copy of the caller's context, which holds numpy's
+    # floating-point error state.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, fold, share) for share in shares[1:]]
+        best = fold(shares[0])
+        for helper in helpers:
+            best.update(helper.result())
+    return {shift_name: best[shift_name] for shift_name in names}
 
 
 def theorem_suite(

@@ -14,7 +14,6 @@ from .martingale import (
     StepFunction,
     analyze,
     haar_basis_matrix,
-    haar_function,
     square_function,
     square_function_martingale,
     synthesize,
@@ -23,7 +22,7 @@ from .measure import random_doubling
 from .norms import (
     haar_lambda2_norm,
     inner_product,
-    lambda_norm,
+    lambda_rows,
     lp_norm,
     sibling_slacks,
 )
@@ -139,9 +138,11 @@ def check_lambda_closed_form(depth: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for mu, rng in _battery(min(depth, 7), max(trials // 10, 5), seed + 2):
         alpha = float(rng.uniform(0.0, 1.0))
-        for node in mu.tree.internal_nodes():
+        # one batch over the Haar functions, in heap order; each row gets
+        # the value of its one-function lambda_norm
+        enums, _ = lambda_rows(haar_basis_matrix(mu), mu, 2.0, alpha)
+        for node, enum in zip(mu.tree.internal_nodes(), enums.tolist(), strict=True):
             closed = haar_lambda2_norm(mu, node, alpha)
-            enum = lambda_norm(haar_function(mu, node), mu, 2.0, alpha).value
             worst = max(worst, abs(closed - enum) / closed)
     return CheckResult("lambda_closed_form", worst <= 1e-9, f"max rel err = {worst:.3e}")
 

@@ -62,8 +62,9 @@ def test_zero_shift(mu):
 
 
 def test_l2_opnorm_validation(mu):
-    with pytest.raises(ValueError):
-        l2_opnorm(petermichl(mu.depth), mu, tol=0.0)
+    for tol in (0.0, -1e-10, np.nan):  # NaN would run to the iteration cap
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            l2_opnorm(petermichl(mu.depth), mu, tol=tol)
 
 
 def test_dense_matrix_shape(mu):
@@ -104,6 +105,9 @@ def test_lower_bound_validation(mu):
     l2 = NormSpec("lp", p=2.0)
     with pytest.raises(ValueError):
         opnorm_lower_bound(T, mu, l2, l2, budget=0)
+    # a negative step count would skip every ascent without a word
+    with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
+        opnorm_lower_bound(T, mu, l2, l2, budget=1, ascent_steps=-3)
 
 
 def test_deterministic_probe_order(monkeypatch):

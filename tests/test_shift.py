@@ -251,26 +251,53 @@ def _ref_apply_spectrum(T, coeffs):
     return out
 
 
-@pytest.mark.parametrize("depth", range(2, 10))
+def _colliding_shift(depth, rng):
+    # shape (1, 1) terms in random Q order, so S is out of order, and every
+    # fourth term repeated with a new alpha: duplicate (R, S) entries
+    q = rng.integers(1, 1 << (depth - 1), 40)
+    r, s = 2 * q + rng.integers(0, 2, 40), 2 * q + rng.integers(0, 2, 40)
+    alpha = rng.uniform(-1.0, 1.0, 40)
+    q, r, s = (np.concatenate([a, a[::4]]) for a in (q, r, s))
+    alpha = np.concatenate([alpha, rng.uniform(-1.0, 1.0, 10)])
+    return GeneralShift.from_heap(depth, ShiftShape(1, 1), q, r, s, alpha)
+
+
+@pytest.mark.parametrize("depth", [*range(2, 10), 14])
 def test_apply_rows_match_one_spectrum_reference(depth):
     rng = np.random.default_rng([29, depth])
     n = 1 << depth
-    C = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, n))
+    C = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (8, n))
     C[2] = -0.0
     C[3, n // 2] = np.nan
+    C[4, 1::3] = np.inf
+    C[5, ::2] = -np.inf
+    C[6] = np.nan
+    C[7] = np.where(np.arange(n) % 2, np.inf, -0.0)
     shifts = [petermichl(depth), petermichl(depth).adjoint()]  # the adjoint's S collide
-    for m, s_sel, n_sel, t_sel in [(1, 0, 0, 0), (0, 0, 1, 1), (2, 1, 1, 0), (2, 3, 0, 0)]:
-        alphas = dense_alphas(depth, m, n_sel, -1.0 if s_sel else 1.0)
-        shifts.append(CanonicalShift(depth, m, s_sel, n_sel, t_sel, alphas))
-    shifts.append(shifts[-1].adjoint())
+    if depth < 14:
+        for m, s_sel, n_sel, t_sel in [(1, 0, 0, 0), (0, 0, 1, 1), (2, 1, 1, 0), (2, 3, 0, 0)]:
+            alphas = dense_alphas(depth, m, n_sel, -1.0 if s_sel else 1.0)
+            shifts.append(CanonicalShift(depth, m, s_sel, n_sel, t_sel, alphas))
+        shifts.append(shifts[-1].adjoint())
+        shifts.append(_colliding_shift(depth, rng))
+        # every S at leaf level: every term is dropped
+        last = np.arange(1 << (depth - 1), n)
+        dropped = GeneralShift.from_heap(
+            depth, ShiftShape(0, 1), last, last, 2 * last, np.full(len(last), 0.5)
+        )
+        assert dropped.dropped == len(last) and len(dropped._alpha) == 0
+        shifts.append(dropped)
     for T in shifts:
         general = T if isinstance(T, GeneralShift) else T.to_general()
-        images = T.apply_rows(C)
-        for i, row in enumerate(C):
-            ref = _ref_apply_spectrum(general, row)
-            assert np.array_equal(images[i], ref, equal_nan=True)
-            assert repr(images[i].tolist()) == repr(ref.tolist())  # signs of zeros too
-            spec = T.apply_spectrum(HaarSpectrum(depth, 1.5, row))
-            assert spec.mean == 0.0 and np.array_equal(spec.coeffs, ref, equal_nan=True)
+        with np.errstate(invalid="ignore"):  # inf - inf in a sum
+            refs = np.stack([_ref_apply_spectrum(general, row) for row in C])
+            images, first = T.apply_rows(C), T.apply_rows(C[:1])
+        assert images.shape == C.shape and first.shape == (1, n)
+        assert images.tobytes() == refs.tobytes()  # signs of zeros and NaN bits too
+        assert first.tobytes() == refs[0].tobytes()
+        for row, ref in zip(C, refs):
+            with np.errstate(invalid="ignore"):
+                spec = T.apply_spectrum(HaarSpectrum(depth, 1.5, row))
+            assert spec.mean == 0.0 and spec.coeffs.tobytes() == ref.tobytes()
     with pytest.raises(ShiftError):
         shifts[0].apply_rows(np.zeros((2, n // 2)))

@@ -1,5 +1,7 @@
 """Blowup and boundedness studies plus the canonical CSV emitter."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from haarlab.studies import (
     theorem_suite,
     unbalanced_branch_node,
 )
+from haarlab.shift import CanonicalShift, dense_alphas
 from haarlab.tree import Node
 
 
@@ -74,6 +77,17 @@ def test_default_shift_battery():
     battery = default_shift_battery(5)
     assert "petermichl" in battery and "petermichl_adj" in battery
     assert len(battery) == 5
+    # the canonical shifts, built from heap arrays, hold the terms of the
+    # dense coefficient-map form, in its order
+    for depth in (2, 3, 5):
+        battery = default_shift_battery(depth)
+        for m, s_sel, n, t_sel, a in [(1, 0, 0, 0, 1.0), (0, 0, 1, 1, -1.0), (2, 1, 1, 0, 1.0)]:
+            T = battery[f"canonical[m={m},s={s_sel},n={n},t={t_sel},a={a:+g}]"]
+            ref = CanonicalShift(depth, m, s_sel, n, t_sel, dense_alphas(depth, m, n, a))
+            ref = ref.to_general()
+            assert T.shape == ref.shape and T.dropped == ref.dropped
+            for field in ("_r_pos", "_s_pos", "_alpha"):
+                assert getattr(T, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def test_theorem_suite_shapes_and_names():
@@ -201,6 +215,45 @@ def test_theorem_suite_csv_unchanged_without_bounds(monkeypatch):
     pruned = csvs()
     monkeypatch.setattr(NormSpec, "upper_rows", lambda self, F, mu: None)
     assert csvs() == pruned
+
+
+def test_theorem_suite_csv_unchanged_across_workers(monkeypatch):
+    """Splitting the shifts over 1, 2 or 5 workers leaves every suite's CSV
+    as it is; 5 workers is more than this battery's shifts and more threads
+    than cores, and runs with a short thread switch interval."""
+    def csvs(workers):
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: workers)
+        return [
+            rows_to_csv(theorem_suite(name, SUITE_FAMILIES, [4, 5, 6, 7, 8], n_random=3))
+            for name in THEOREM_NAMES
+        ]
+
+    inline = csvs(1)
+    assert csvs(2) == inline
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert csvs(5) == inline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_suite_maxima_helper_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+    mu = generate("random_doubling", 5, seed=1)
+    battery = default_shift_battery(5)
+    raised_on = []
+
+    class Broken:
+        def apply_rows(self, coeffs):
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("broken shift")
+
+    battery["petermichl_adj"] = Broken()  # the second shift: worker 1's share
+    F = np.stack([f.values for f in probe_battery(mu, 1, n_random=1)])
+    with pytest.raises(RuntimeError, match="broken shift"):
+        studies._suite_maxima(battery, mu, F, np.ones(len(F)), NormSpec("bmo"))
+    assert raised_on and raised_on[0] is not threading.main_thread()
 
 
 def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
