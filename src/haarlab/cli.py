@@ -169,6 +169,8 @@ def cmd_norm(args) -> int:
             params, value, witness = spec.params(), res.value, res.witness_node
     except NormError as exc:
         raise CliError(EXIT_PARAM, f"invalid norm parameters: {exc}")
+    if not np.isfinite(value):
+        raise CliError(EXIT_INPUT, f"the {args.norm} norm of this input is not finite ({value})")
     report = hio.norm_report(args.norm, params, value, witness)
     _emit(json.dumps(report) + "\n", args.out, vars(args) | {"command": "norm"})
     return EXIT_OK
@@ -185,6 +187,8 @@ def cmd_apply(args) -> int:
         g = apply_shift(T, f, mu)
     except (ShiftError, TreeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot apply shift: {exc}")
+    if not np.all(np.isfinite(g.values)):
+        raise CliError(EXIT_INPUT, "cannot apply shift: the image has non-finite values")
     hio.save_function(g, args.out)
     _write_manifest(args.out, vars(args) | {"command": "apply"})
     return EXIT_OK

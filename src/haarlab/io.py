@@ -1,6 +1,8 @@
 """Stable JSON file formats for measures, step functions, and shifts.
 
-Node keys serialize as "level,index" strings.
+Node keys serialize as "level,index" strings.  Files are read with orjson
+and written in the stdlib `json` layout (", " and ": " separators, floats
+as `repr`), so a saved file loads and saves again to the same bytes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,28 @@ import numpy as np
 from .martingale import StepFunction
 from .measure import MeasureError, MeasureTree
 from .shift import CanonicalShift, GeneralShift, Shift, ShiftError, ShiftShape, petermichl
-from .tree import Node, heap_nodes, heap_positions, node_from_key
+from .tree import Node, depth_from_json, heap_nodes, heap_positions, node_from_key
+
+# one term of a general shift file, as json.dumps writes the term's dict
+_TERM = '{"Q": "%d,%d", "R": "%d,%d", "S": "%d,%d", "alpha": %r}'
 
 
 class FormatError(ValueError):
     """Malformed input file."""
+
+
+def _read_json(path, what: str):
+    """The parsed JSON value of a file; an unreadable, undecodable or
+    malformed file is a FormatError."""
+    # imported on first read: importing orjson (and the uuid and zoneinfo
+    # modules it loads) costs about 15 ms, which commands that read no file
+    # (study, verify, measure gen) need not pay
+    import orjson
+
+    try:
+        return orjson.loads(Path(path).read_bytes())
+    except (orjson.JSONDecodeError, OSError) as exc:
+        raise FormatError(f"cannot load {what} from {path}: {exc}") from exc
 
 
 def save_measure(mu: MeasureTree, path) -> None:
@@ -25,10 +44,10 @@ def save_measure(mu: MeasureTree, path) -> None:
 
 
 def load_measure(path) -> MeasureTree:
+    obj = _read_json(path, "measure")
     try:
-        obj = json.loads(Path(path).read_text())
         return MeasureTree.from_json(obj)
-    except (json.JSONDecodeError, MeasureError, OSError) as exc:
+    except MeasureError as exc:
         raise FormatError(f"cannot load measure from {path}: {exc}") from exc
 
 
@@ -38,7 +57,7 @@ def function_to_json(f: StepFunction) -> dict:
 
 def function_from_json(obj: dict) -> StepFunction:
     try:
-        f = StepFunction(int(obj["depth"]), obj["leaf_values"])
+        f = StepFunction(depth_from_json(obj["depth"]), obj["leaf_values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed function file: {exc}") from exc
     if not np.all(np.isfinite(f.values)):
@@ -51,35 +70,32 @@ def save_function(f: StepFunction, path) -> None:
 
 
 def load_function(path) -> StepFunction:
-    try:
-        return function_from_json(json.loads(Path(path).read_text()))
-    except (json.JSONDecodeError, OSError) as exc:
-        raise FormatError(f"cannot load function from {path}: {exc}") from exc
+    return function_from_json(_read_json(path, "function"))
 
 
-def shift_to_json(T: Shift) -> dict:
+def shift_text(T: Shift) -> str:
+    """The JSON text of a shift file, without the final newline.
+
+    A general shift is written in one pass from its heap arrays, to the
+    bytes json.dumps gives for its dict form: `_check_alpha` keeps every
+    alpha finite, and json writes a finite float as its `repr`.
+    """
     if isinstance(T, CanonicalShift):
-        return {
+        return json.dumps({
             "kind": "canonical",
             "m": T.m,
             "s": T.s_sel,
             "n": T.n,
             "t": T.t_sel,
             "alphas": {str(node): a for node, a in sorted(T.alphas.items())},
-        }
-    q_keys, r_keys, s_keys = (
-        list(map("{},{}".format, *heap_nodes(pos)))
-        for pos in (T._r_pos >> T.shape.r, T._r_pos, T._s_pos)
+        })
+    (ql, qi), (rl, ri), (sl, si) = (
+        heap_nodes(pos) for pos in (T._r_pos >> T.shape.r, T._r_pos, T._s_pos)
     )
-    return {
-        "kind": "general",
-        "r": T.shape.r,
-        "s": T.shape.s,
-        "terms": [
-            {"Q": q, "R": r, "S": s, "alpha": a}
-            for q, r, s, a in zip(q_keys, r_keys, s_keys, T._alpha.tolist())
-        ],
-    }
+    terms = ", ".join([_TERM % t for t in zip(ql, qi, rl, ri, sl, si, T._alpha.tolist())])
+    return '{"kind": "general", "r": %d, "s": %d, "terms": [%s]}' % (
+        T.shape.r, T.shape.s, terms
+    )
 
 
 def _key_positions(keys: list[str], depth: int) -> np.ndarray:
@@ -116,21 +132,18 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
             shape = ShiftShape(int(obj["r"]), int(obj["s"]))
             return GeneralShift.from_heap(depth, shape, q, r, s, alpha)
         raise FormatError(f"unknown shift kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"malformed shift file: {exc}") from exc
 
 
 def save_shift(T: Shift, path) -> None:
-    Path(path).write_text(json.dumps(shift_to_json(T)) + "\n")
+    Path(path).write_text(shift_text(T) + "\n")
 
 
 def load_shift(path, depth: int) -> Shift:
-    try:
-        return shift_from_json(json.loads(Path(path).read_text()), depth)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise FormatError(f"cannot load shift from {path}: {exc}") from exc
+    return shift_from_json(_read_json(path, "shift"), depth)
 
 
 def norm_report(norm: str, params: dict, value: float, witness: Node | None) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import DyadicTree, Node, TreeError, aggregate_heap
+from .tree import DyadicTree, Node, TreeError, aggregate_heap, depth_from_json
 
 
 class MeasureError(ValueError):
@@ -133,12 +133,12 @@ class MeasureTree:
         try:
             root = obj.get("root", {})
             tree = DyadicTree(
-                depth=int(obj["depth"]),
+                depth=depth_from_json(obj["depth"]),
                 root_origin=float(root.get("origin", 0.0)),
                 root_length=float(root.get("length", 1.0)),
             )
             masses = obj["leaf_masses"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MeasureError(f"malformed measure file: {exc}") from exc
         return cls(tree, masses)
 

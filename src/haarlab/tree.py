@@ -35,6 +35,22 @@ def node_from_key(key: str) -> Node:
         raise TreeError(f"bad node key {key!r}") from exc
 
 
+# heap positions are int64, and the last node of a depth-62 tree sits at
+# 2**63 - 1
+MAX_DEPTH = 62
+
+
+def depth_from_json(value) -> int:
+    """The depth field of a measure or function file: an integer, or an
+    integral float, in 1 .. MAX_DEPTH.  Anything else is a TreeError, never
+    a silent truncation or a 2**depth that cannot be allocated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_DEPTH:
+        raise TreeError(f"depth must be an integer in 1..{MAX_DEPTH}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DyadicTree:
     """A rooted binary tree of dyadic intervals of a fixed finite depth.

@@ -6,12 +6,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarlab import io as hio
 from haarlab.atomic import atb_upper_bound
 from haarlab.cli import build_parser, main
 from haarlab.martingale import StepFunction, haar_function
-from haarlab.measure import GENERATORS, generate, random_doubling
+from haarlab.measure import GENERATORS, MeasureError, MeasureTree, generate, random_doubling
 from haarlab.norms import (
     bmo_martingale,
     bmo_oscillation,
@@ -20,7 +22,7 @@ from haarlab.norms import (
     lp_norm,
     weak_l1,
 )
-from haarlab.shift import CanonicalShift, GeneralShift, dense_alphas, petermichl
+from haarlab.shift import CanonicalShift, GeneralShift, ShiftShape, dense_alphas, petermichl
 from haarlab.tree import Node
 from haarlab.verify import run_verification
 
@@ -79,6 +81,57 @@ def test_general_shift_file_is_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _reference_text(T):
+    """json.dumps of a general shift's dict form, built from its node terms."""
+    terms = [
+        {"Q": str(q), "R": str(r), "S": str(s), "alpha": a} for q, r, s, a in T.terms
+    ]
+    return json.dumps({"kind": "general", "r": T.shape.r, "s": T.shape.s, "terms": terms})
+
+
+GENERAL_SHIFTS = {
+    **{f"petermichl({D})": (D, lambda D=D: petermichl(D)) for D in range(3, 9)},
+    **{f"petermichl({D}).adjoint": (D, lambda D=D: petermichl(D).adjoint()) for D in range(3, 9)},
+    # alphas on every node: the terms whose R or S is a leaf are dropped
+    "canonical(1,0,1,1).to_general": (
+        4,
+        lambda: CanonicalShift(
+            4, 1, 0, 1, 1, {Node(k, j): 0.5 for k in range(5) for j in range(1 << k)}
+        ).to_general(),
+    ),
+    "no terms": (3, lambda: GeneralShift(3, ShiftShape(0, 1), [])),
+    "edge alphas": (
+        3,
+        lambda: GeneralShift(
+            3,
+            ShiftShape(0, 1),
+            [(Node(1, 0), Node(1, 0), Node(2, 1), a) for a in (-0.0, 5e-324, 1 / 3, 1e-05, -1.0)],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GENERAL_SHIFTS, ids=str)
+def test_general_shift_writer_matches_json_dumps(tmp_path, case):
+    depth, build = GENERAL_SHIFTS[case]
+    T = build()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    hio.save_shift(T, first)
+    assert first.read_text() == _reference_text(T) + "\n"
+    again = hio.load_shift(first, depth)
+    assert again.terms == T.terms
+    assert [a.hex() for *_, a in again.terms] == [a.hex() for *_, a in T.terms]
+    hio.save_shift(again, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_canonical_writer_drops_leaf_terms():
+    _, build = GENERAL_SHIFTS["canonical(1,0,1,1).to_general"]
+    T = build()
+    # Q below level 3 has leaf children: 8 + 16 of the 31 alphas are dropped
+    assert len(T.terms) == 7 and all(q.level < 3 for q, *_ in T.terms)
+
+
 def _general_file(path, **override):
     term = {"Q": "1,0", "R": "1,0", "S": "2,1", "alpha": -1.0, **override}
     path.write_text(json.dumps({"kind": "general", "r": 0, "s": 1, "terms": [term]}))
@@ -92,6 +145,8 @@ BAD_GENERAL_TERMS = [
     {"Q": "1,1"},  # not R's 0-th ancestor
     {"Q": 7},
     {"alpha": float("nan")},
+    {"S": "1,2,3"},
+    {"R": ""},
 ]
 
 
@@ -124,6 +179,76 @@ def test_format_errors(tmp_path):
         bad.write_text(json.dumps({"depth": 1, "leaf_values": [1.0, bad_value]}))
         with pytest.raises(hio.FormatError):
             hio.load_function(bad)
+
+
+# finite float64 bit patterns; positive ones below 2**1020, so that eight
+# of them sum to a finite total mass
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(
+    lambda b: np.isfinite(np.uint64(b).view(np.float64))
+)
+MASS_BITS = st.integers(1, 0x7FB0_0000_0000_0000)
+
+
+def _floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(FINITE_BITS, min_size=8, max_size=8),
+    masses=st.lists(MASS_BITS, min_size=8, max_size=8),
+)
+def test_readers_match_stdlib_json_bit_for_bit(tmp_path_factory, values, masses):
+    path = tmp_path_factory.mktemp("exact") / "x.json"
+    path.write_text(json.dumps({"depth": 3, "leaf_values": _floats(values).tolist()}))
+    expected = np.array(json.loads(path.read_text())["leaf_values"], dtype=np.float64)
+    assert np.array_equal(
+        hio.load_function(path).values.view(np.int64), expected.view(np.int64)
+    )
+    path.write_text(json.dumps({"depth": 3, "leaf_masses": _floats(masses).tolist()}))
+    expected = np.array(json.loads(path.read_text())["leaf_masses"], dtype=np.float64)
+    assert np.array_equal(
+        hio.load_measure(path).leaf_masses.view(np.int64), expected.view(np.int64)
+    )
+
+
+# depth fields that are not an integer in range: huge, fractional, infinite
+# (written by the stdlib as the non-JSON literal Infinity), or of another type
+BAD_DEPTHS = [1e300, 3.5, float("inf"), -float("inf"), 63, 0, True, "3", None]
+
+
+@pytest.mark.parametrize("depth", BAD_DEPTHS, ids=repr)
+def test_bad_depth_is_a_format_error(tmp_path, depth):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"depth": depth, "leaf_masses": [1.0] * 8}))
+    with pytest.raises(hio.FormatError):
+        hio.load_measure(path)
+    path.write_text(json.dumps({"depth": depth, "leaf_values": [1.0] * 8}))
+    with pytest.raises(hio.FormatError):
+        hio.load_function(path)
+    with pytest.raises(MeasureError):
+        MeasureTree.from_json({"depth": depth, "leaf_masses": [1.0] * 8})
+    with pytest.raises(hio.FormatError):
+        hio.function_from_json({"depth": depth, "leaf_values": [1.0] * 8})
+
+
+def test_integral_float_depth_loads(tmp_path):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"depth": 3.0, "leaf_masses": [1.0] * 8}))
+    assert hio.load_measure(path).depth == 3
+    path.write_text(json.dumps({"depth": 3.0, "leaf_values": [1.0] * 8}))
+    assert hio.load_function(path).depth == 3
+
+
+def test_non_object_files_are_format_errors(tmp_path):
+    bad = tmp_path / "bad.json"
+    for text in ("[1, 2]", '"x"', json.dumps({"root": 5, "depth": 2, "leaf_masses": [1] * 4})):
+        bad.write_text(text)
+        with pytest.raises(hio.FormatError):
+            hio.load_measure(bad)
+    bad.write_text(json.dumps({"kind": "canonical", "m": 1, "s": 0, "n": 1, "t": 1, "alphas": [1]}))
+    with pytest.raises(hio.FormatError):
+        hio.load_shift(bad, 3)
 
 
 def test_norm_report():
@@ -355,6 +480,73 @@ def test_cli_rejects_non_finite_files(tmp_path):
         ["apply", "--shift", str(shift_path), "--function", str(nan_f),
          "--measure", str(mu_path), "--out", str(tmp_path / "Tf.json")]
     ) == 2
+
+
+def test_cli_rejects_undecodable_files(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path)
+    f_path = _save_function(tmp_path, mu_path)
+    shift_path = tmp_path / "T.json"
+    shift_path.write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    garbage = tmp_path / "garbage.json"
+    garbage.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["measure", "inspect", str(garbage)]) == 2
+    assert main(
+        ["norm", "--function", str(garbage), "--measure", str(mu_path), "--norm", "bmo"]
+    ) == 2
+    out = tmp_path / "Tf.json"
+    assert main(
+        ["apply", "--shift", str(garbage), "--function", str(f_path),
+         "--measure", str(mu_path), "--out", str(out)]
+    ) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("error: cannot load ") for line in err)
+
+
+def test_cli_bad_depth_exits_2(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path)
+    f_path = _save_function(tmp_path, mu_path)
+    bad = tmp_path / "bad.json"
+    for depth in (1e300, 3.5, float("inf")):
+        bad.write_text(json.dumps({"depth": depth, "leaf_masses": [1.0] * 8}))
+        assert main(["measure", "inspect", str(bad)]) == 2
+        bad.write_text(json.dumps({"depth": depth, "leaf_values": [1.0] * 16}))
+        assert main(
+            ["norm", "--function", str(bad), "--measure", str(mu_path), "--norm", "bmo"]
+        ) == 2
+    assert "error: malformed function file: depth must be an integer" in capsys.readouterr().err
+    assert main(
+        ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", "bmo"]
+    ) == 0
+
+
+def test_cli_refuses_non_finite_results(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path)
+    big = tmp_path / "big.json"
+    hio.save_function(StepFunction(4, np.repeat([1.5e308, -1.5e308], 8)), big)
+    shift_path = tmp_path / "T.json"
+    shift_path.write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    out = tmp_path / "Tf.json"
+    capsys.readouterr()
+    assert main(
+        ["apply", "--shift", str(shift_path), "--function", str(big),
+         "--measure", str(mu_path), "--out", str(out)]
+    ) == 2
+    assert not out.exists()
+    assert not (tmp_path / "Tf.json.manifest.json").exists()
+    assert "error: cannot apply shift: the image has non-finite values" in capsys.readouterr().err
+    # alternating signs: these norms overflow on this input
+    hio.save_function(StepFunction(4, np.resize([1.5e308, -1.5e308], 16)), big)
+    report = tmp_path / "norm.json"
+    for norm in ("lp", "bmo", "bmo-osc", "lambda", "h1"):
+        assert main(
+            ["norm", "--function", str(big), "--measure", str(mu_path), "--norm", norm,
+             "--out", str(report)]
+        ) == 2, norm
+        assert f"error: the {norm} norm of this input is not finite" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_apply(tmp_path):
