@@ -162,7 +162,7 @@ def atb_upper_bound(f: StepFunction, mu: MeasureTree) -> float:
     """
     spec = analyze(f, mu)
     scale = max(float(np.max(np.abs(f.values))), 1.0)
-    if abs(spec.mean) > TOL * scale:
+    if not abs(spec.mean) <= TOL * scale:  # true for a NaN mean as well
         raise NormError(f"atomic upper bound needs zero root mean, got {spec.mean}")
     n = 1 << mu.depth
     weights = np.sqrt(mu.mass_heap[1:n])

@@ -160,15 +160,20 @@ def cmd_norm(args) -> int:
         raise CliError(
             EXIT_PARAM, f"{', '.join(map(_flag, unused))} not taken by --norm {args.norm}"
         )
-    try:
-        if args.norm == "atb-upper":
+    if args.norm == "atb-upper":
+        # atb-upper takes no parameters: a function it cannot bound is an
+        # input error
+        try:
             params, value, witness = {}, atb_upper_bound(f, mu), None
-        else:
+        except NormError as exc:
+            raise CliError(EXIT_INPUT, f"cannot bound this function: {exc}")
+    else:
+        try:
             spec = NormSpec(name, **given)
             res = spec.evaluate(f, mu)
             params, value, witness = spec.params(), res.value, res.witness_node
-    except NormError as exc:
-        raise CliError(EXIT_PARAM, f"invalid norm parameters: {exc}")
+        except NormError as exc:
+            raise CliError(EXIT_PARAM, f"invalid norm parameters: {exc}")
     if not np.isfinite(value):
         raise CliError(EXIT_INPUT, f"the {args.norm} norm of this input is not finite ({value})")
     report = hio.norm_report(args.norm, params, value, witness)

@@ -1,13 +1,15 @@
 """Stable JSON file formats for measures, step functions, and shifts.
 
-Node keys serialize as "level,index" strings.  Files are read with orjson
-and written in the stdlib `json` layout (", " and ": " separators, floats
-as `repr`), so a saved file loads and saves again to the same bytes.
+Node keys serialize as "level,index" strings of ASCII digits.  Files are
+read with orjson and written in the stdlib `json` layout (", " and ": "
+separators, floats as `repr`), so a saved file loads and saves again to the
+same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,33 @@ import numpy as np
 from .martingale import StepFunction
 from .measure import MeasureError, MeasureTree
 from .shift import CanonicalShift, GeneralShift, Shift, ShiftError, ShiftShape, petermichl
-from .tree import Node, depth_from_json, heap_nodes, heap_positions, node_from_key
+from .tree import (
+    MAX_DEPTH,
+    NODE_KEY,
+    Node,
+    TreeError,
+    depth_from_json,
+    heap_nodes,
+    heap_positions,
+    int_from_json,
+)
 
 # one term of a general shift file, as json.dumps writes the term's dict
 _TERM = '{"Q": "%d,%d", "R": "%d,%d", "S": "%d,%d", "alpha": %r}'
+
+# node keys are checked and parsed 4096 at a time, joined by ";": one regex
+# match and one numpy parse per chunk, and a joined text that stays small
+# (joining all 65,534 keys of a depth-16 shift at once costs 8 MB of peak
+# memory)
+_KEY_CHUNK = 4096
+_KEY = re.compile(NODE_KEY, re.ASCII)
+_KEYS = re.compile(f"{NODE_KEY}(?:;{NODE_KEY})*", re.ASCII)
+
+# json.dumps writes a finite float as its repr, which is positional for 0
+# and for 1e-4 <= |v| < 1e16, and there orjson writes the same digits;
+# outside that range their exponent formats differ (1e-05 / 0.00001,
+# 1e+16 / 1e16)
+_PLAIN_MIN, _PLAIN_MAX = 1e-4, 1e16
 
 
 class FormatError(ValueError):
@@ -28,9 +53,9 @@ class FormatError(ValueError):
 def _read_json(path, what: str):
     """The parsed JSON value of a file; an unreadable, undecodable or
     malformed file is a FormatError."""
-    # imported on first read: importing orjson (and the uuid and zoneinfo
-    # modules it loads) costs about 15 ms, which commands that read no file
-    # (study, verify, measure gen) need not pay
+    # imported on first use: importing orjson (and the uuid and zoneinfo
+    # modules it loads) costs about 15 ms, which commands that read and
+    # write no measure or function file (study, verify) need not pay
     import orjson
 
     try:
@@ -39,8 +64,41 @@ def _read_json(path, what: str):
         raise FormatError(f"cannot load {what} from {path}: {exc}") from exc
 
 
+def _leaf_array(values: np.ndarray) -> bytes:
+    """The bytes json.dumps writes for a non-empty float64 array's tolist().
+
+    orjson writes each run of values that repr writes positionally, and repr
+    writes the values outside that range.  A non-finite value is a
+    ValueError: json.dumps would write NaN or Infinity, which no reader of
+    this package accepts.
+    """
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot write non-finite leaf values")
+    size = np.abs(values)
+    plain = (size == 0) | ((size >= _PLAIN_MIN) & (size < _PLAIN_MAX))
+    bounds = [0, *(np.flatnonzero(plain[1:] != plain[:-1]) + 1).tolist(), len(values)]
+    runs = [
+        orjson.dumps(values[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        if plain[lo]
+        else ",".join(map(repr, values[lo:hi].tolist())).encode()
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return b"[" + b",".join(runs).replace(b",", b", ") + b"]"
+
+
+def _save_leaves(path, fields: dict, name: str, values: np.ndarray) -> None:
+    """Write {**fields, name: values.tolist()} as json.dumps does, plus a
+    newline; the leaf array goes through `_leaf_array`."""
+    head = json.dumps(fields)[:-1]  # without the closing brace
+    Path(path).write_bytes(f'{head}, "{name}": '.encode() + _leaf_array(values) + b"}\n")
+
+
 def save_measure(mu: MeasureTree, path) -> None:
-    Path(path).write_text(json.dumps(mu.to_json()) + "\n")
+    root = {"origin": mu.tree.root_origin, "length": mu.tree.root_length}
+    _save_leaves(path, {"root": root, "depth": mu.depth}, "leaf_masses", mu.leaf_masses)
 
 
 def load_measure(path) -> MeasureTree:
@@ -49,10 +107,6 @@ def load_measure(path) -> MeasureTree:
         return MeasureTree.from_json(obj)
     except MeasureError as exc:
         raise FormatError(f"cannot load measure from {path}: {exc}") from exc
-
-
-def function_to_json(f: StepFunction) -> dict:
-    return {"depth": f.depth, "leaf_values": f.values.tolist()}
 
 
 def function_from_json(obj: dict) -> StepFunction:
@@ -66,7 +120,7 @@ def function_from_json(obj: dict) -> StepFunction:
 
 
 def save_function(f: StepFunction, path) -> None:
-    Path(path).write_text(json.dumps(function_to_json(f)) + "\n")
+    _save_leaves(path, {"depth": f.depth}, "leaf_values", f.values)
 
 
 def load_function(path) -> StepFunction:
@@ -98,17 +152,20 @@ def shift_text(T: Shift) -> str:
     )
 
 
-def _key_positions(keys: list[str], depth: int) -> np.ndarray:
-    """Heap positions of "level,index" keys, parsed straight into int64."""
-
-    def numbers():
-        for key in keys:
-            level, index = str.split(key, ",")
-            yield int(level)
-            yield int(index)
-
-    kj = np.fromiter(numbers(), dtype=np.int64, count=2 * len(keys)).reshape(-1, 2)
-    return heap_positions(kj[:, 0], kj[:, 1], depth)
+def _key_numbers(keys: list) -> np.ndarray:
+    """The (level, index) pairs of "level,index" node keys, as an (n, 2)
+    int64 array; a key outside the grammar is a TreeError."""
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    for start in range(0, len(keys), _KEY_CHUNK):
+        chunk = keys[start : start + _KEY_CHUNK]
+        text = ";".join(chunk)
+        # a key holding a ";" would pass the match as two keys
+        if not _KEYS.fullmatch(text) or text.count(";") != len(chunk) - 1:
+            bad = next(key for key in chunk if not _KEY.fullmatch(key))
+            raise TreeError(f"bad node key {bad!r}")
+        numbers = np.fromstring(text.replace(";", ","), dtype=np.int64, sep=",")
+        out[start : start + len(chunk)] = numbers.reshape(-1, 2)
+    return out
 
 
 def shift_from_json(obj: dict, depth: int) -> Shift:
@@ -117,20 +174,24 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
         if kind == "petermichl":
             return petermichl(depth)
         if kind == "canonical":
-            alphas = {
-                node_from_key(key): float(a) for key, a in obj.get("alphas", {}).items()
-            }
+            m, n = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "mn")
+            s_sel, t_sel = (int_from_json(obj[k], k) for k in "st")
+            alphas = obj.get("alphas", {})
+            levels, indices = _key_numbers(list(alphas.keys())).T.tolist()
+            nodes = map(Node, levels, indices)
             return CanonicalShift(
-                depth, int(obj["m"]), int(obj["s"]), int(obj["n"]), int(obj["t"]), alphas
+                depth, m, s_sel, n, t_sel, dict(zip(nodes, map(float, alphas.values())))
             )
         if kind == "general":
+            r, s = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "rs")
             terms = obj.get("terms", [])
-            q, r, s = (_key_positions([t[k] for t in terms], depth) for k in "QRS")
+            q, r_pos, s_pos = (
+                heap_positions(*_key_numbers([t[k] for t in terms]).T, depth) for k in "QRS"
+            )
             alpha = np.fromiter(
                 (float(t["alpha"]) for t in terms), dtype=np.float64, count=len(terms)
             )
-            shape = ShiftShape(int(obj["r"]), int(obj["s"]))
-            return GeneralShift.from_heap(depth, shape, q, r, s, alpha)
+            return GeneralShift.from_heap(depth, ShiftShape(r, s), q, r_pos, s_pos, alpha)
         raise FormatError(f"unknown shift kind {kind!r}")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:
         if isinstance(exc, FormatError):

@@ -8,6 +8,7 @@ package are heap-indexed with slot 0 unused.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -26,13 +27,17 @@ class Node(NamedTuple):
         return f"{self.level},{self.index}"
 
 
+# the "level,index" serialization of a node: ASCII digits only, at most 18
+# of them per number, so both numbers fit in int64
+NODE_KEY = "[0-9]{1,18},[0-9]{1,18}"
+
+
 def node_from_key(key: str) -> Node:
     """Parse the 'level,index' serialization of a node."""
-    try:
-        k, j = key.split(",")
-        return Node(int(k), int(j))
-    except Exception as exc:
-        raise TreeError(f"bad node key {key!r}") from exc
+    if not isinstance(key, str) or not re.fullmatch(NODE_KEY, key):
+        raise TreeError(f"bad node key {key!r}")
+    k, j = key.split(",")
+    return Node(int(k), int(j))
 
 
 # heap positions are int64, and the last node of a depth-62 tree sits at
@@ -40,15 +45,27 @@ def node_from_key(key: str) -> Node:
 MAX_DEPTH = 62
 
 
-def depth_from_json(value) -> int:
-    """The depth field of a measure or function file: an integer, or an
-    integral float, in 1 .. MAX_DEPTH.  Anything else is a TreeError, never
-    a silent truncation or a 2**depth that cannot be allocated."""
+def int_from_json(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """An integer field of an input file: an int, or an integral float, in
+    lo .. hi (no upper end when hi is None).  Anything else, a bool
+    included, is a TreeError, never a silent truncation."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_DEPTH:
-        raise TreeError(f"depth must be an integer in 1..{MAX_DEPTH}, got {value!r}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise TreeError(f"{name} must be an integer {span}, got {value!r}")
     return value
+
+
+def depth_from_json(value) -> int:
+    """The depth field of a measure or function file: an integer in
+    1 .. MAX_DEPTH, so that 2**depth can be allocated."""
+    return int_from_json(value, "depth", 1, MAX_DEPTH)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from haarlab.norms import (
     weak_l1,
 )
 from haarlab.shift import CanonicalShift, GeneralShift, ShiftShape, dense_alphas, petermichl
-from haarlab.tree import Node
+from haarlab.tree import DyadicTree, Node
 from haarlab.verify import run_verification
 
 
@@ -158,6 +159,98 @@ def test_general_shift_format_errors(tmp_path, override):
         hio.load_shift(_general_file(tmp_path / "bad.json", **override), 3)
 
 
+# node keys outside the "level,index" grammar of ASCII digits; each of them
+# used to load, most as a valid node
+BAD_KEYS = [
+    " 1,0",
+    "1_0,0",
+    "+1,0",
+    "1,\u0660",  # ARABIC-INDIC DIGIT ZERO
+    "1,0,0",
+    "1,",
+    "",
+    "0000000000000000001,0",  # 19 digits
+    "1,0;2,1",
+]
+
+
+def _canonical_file(path, alphas=None, **override):
+    obj = {"kind": "canonical", "m": 1, "s": 0, "n": 1, "t": 1, "alphas": {"1,0": 0.5}}
+    path.write_text(json.dumps(obj | override | ({"alphas": alphas} if alphas else {})))
+    return path
+
+
+@pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
+def test_bad_node_keys_are_format_errors(tmp_path, key):
+    assert isinstance(hio.load_shift(_canonical_file(tmp_path / "ok.json"), 3), CanonicalShift)
+    for bad in (
+        _general_file(tmp_path / "general.json", Q=key),
+        _general_file(tmp_path / "general.json", S=key),
+        _canonical_file(tmp_path / "canonical.json", {"0,0": 0.5, key: 0.5}),
+    ):
+        with pytest.raises(hio.FormatError, match="bad node key"):
+            hio.load_shift(bad, 3)
+
+
+def test_node_keys_parse_across_chunks(tmp_path):
+    # petermichl(13).adjoint() has more terms than one 4096-key chunk
+    path = tmp_path / "T.json"
+    T = petermichl(13).adjoint()
+    hio.save_shift(T, path)
+    assert hio.load_shift(path, 13).terms == T.terms
+    text = path.read_text()
+    n_terms = len(json.loads(text)["terms"])
+    assert n_terms > 4097
+    # the last key of the first chunk, the first of the second, the last one
+    for i in (4095, 4096, n_terms - 1):
+        bad = json.loads(text)
+        bad["terms"][i]["R"] = key = " " + bad["terms"][i]["R"]
+        path.write_text(json.dumps(bad))
+        with pytest.raises(hio.FormatError, match=re.escape(repr(key))):
+            hio.load_shift(path, 13)
+
+
+# integer fields of a shift file: fractional, negative, a bool, of another
+# type, or a selector depth above 62; each used to load, truncated by int()
+BAD_SHIFT_FIELDS = [
+    ("general", {"r": 0.9, "s": 1.7}),
+    ("general", {"s": 1.5}),
+    ("general", {"r": True}),
+    ("general", {"s": -1}),
+    ("general", {"r": "0"}),
+    ("general", {"s": 63}),
+    ("canonical", {"m": 1.5}),
+    ("canonical", {"m": 1.5, "t": 1.9}),
+    ("canonical", {"s": 0.5}),
+    ("canonical", {"n": False}),
+    ("canonical", {"t": -1}),
+    ("canonical", {"m": 1e300}),
+    ("canonical", {"n": None}),
+]
+
+
+@pytest.mark.parametrize("kind, override", BAD_SHIFT_FIELDS, ids=repr)
+def test_fractional_shift_fields_are_format_errors(tmp_path, kind, override):
+    write = _general_file if kind == "general" else _canonical_file
+    path = tmp_path / "T.json"
+    obj = json.loads(write(path).read_text()) | override
+    path.write_text(json.dumps(obj))
+    with pytest.raises(hio.FormatError, match="must be an integer"):
+        hio.load_shift(path, 3)
+
+
+def test_integral_float_shift_fields_load(tmp_path):
+    path = tmp_path / "T.json"
+    obj = json.loads(_general_file(path).read_text()) | {"r": 0.0, "s": 1.0}
+    path.write_text(json.dumps(obj))
+    assert hio.load_shift(path, 3).shape == ShiftShape(0, 1)
+    obj = json.loads(_canonical_file(path).read_text()) | {"m": 1.0, "s": 0.0, "n": 1.0, "t": 1.0}
+    path.write_text(json.dumps(obj))
+    C = hio.load_shift(path, 3)
+    assert (C.m, C.s_sel, C.n, C.t_sel) == (1, 0, 1, 1)
+    assert all(type(v) is int for v in (C.m, C.s_sel, C.n, C.t_sel))
+
+
 def test_format_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -210,6 +303,56 @@ def test_readers_match_stdlib_json_bit_for_bit(tmp_path_factory, values, masses)
     assert np.array_equal(
         hio.load_measure(path).leaf_masses.view(np.int64), expected.view(np.int64)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(FINITE_BITS, min_size=8, max_size=8),
+    masses=st.lists(MASS_BITS, min_size=8, max_size=8),
+)
+def test_writers_match_stdlib_json_bytes(tmp_path_factory, values, masses):
+    path = tmp_path_factory.mktemp("exact") / "x.json"
+    f = StepFunction(3, _floats(values))
+    hio.save_function(f, path)
+    expected = json.dumps({"depth": 3, "leaf_values": f.values.tolist()}) + "\n"
+    assert path.read_bytes() == expected.encode()
+    mu = MeasureTree(DyadicTree(3), _floats(masses))
+    hio.save_measure(mu, path)
+    assert path.read_bytes() == (json.dumps(mu.to_json()) + "\n").encode()
+
+
+# where repr switches between positional and exponent notation, and the
+# ends of the float64 range
+EDGE_VALUES = [
+    1e-4,
+    np.nextafter(1e-4, 0),
+    1e16,
+    np.nextafter(1e16, 0),
+    5e-324,
+    -0.0,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+
+
+def test_writers_match_stdlib_json_at_edges(tmp_path):
+    path = tmp_path / "x.json"
+    f = StepFunction(3, np.array(EDGE_VALUES))
+    hio.save_function(f, path)
+    assert path.read_text() == json.dumps({"depth": 3, "leaf_values": EDGE_VALUES}) + "\n"
+    masses = EDGE_VALUES[:5] + [1.0, 2.0, 3.0]
+    mu = MeasureTree(DyadicTree(3, root_origin=-0.5, root_length=1e16), masses)
+    hio.save_measure(mu, path)
+    assert path.read_text() == json.dumps(mu.to_json()) + "\n"
+    assert np.array_equal(hio.load_measure(path).leaf_masses, mu.leaf_masses)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_writers_refuse_non_finite_values(tmp_path, bad):
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        hio.save_function(StepFunction(3, np.array([1.0] * 7 + [bad])), path)
+    assert not path.exists()
 
 
 # depth fields that are not an integer in range: huge, fractional, infinite
@@ -522,6 +665,27 @@ def test_cli_bad_depth_exits_2(tmp_path, capsys):
     ) == 0
 
 
+def test_cli_bad_shift_files_exit_2(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path, depth=3)
+    f_path = _save_function(tmp_path, mu_path)
+    out = tmp_path / "Tf.json"
+    shifts = [_general_file(tmp_path / f"g{i}.json", R=key) for i, key in enumerate(BAD_KEYS)]
+    shifts += [_canonical_file(tmp_path / "c.json", {"1,\u0660": 0.5})]
+    for i, (kind, override) in enumerate(BAD_SHIFT_FIELDS):
+        write = _general_file if kind == "general" else _canonical_file
+        path = write(tmp_path / f"f{i}.json")
+        path.write_text(json.dumps(json.loads(path.read_text()) | override))
+        shifts.append(path)
+    capsys.readouterr()
+    for shift_path in shifts:
+        assert main(
+            ["apply", "--shift", str(shift_path), "--function", str(f_path),
+             "--measure", str(mu_path), "--out", str(out)]
+        ) == 2, shift_path.read_text()
+        assert capsys.readouterr().err.startswith("error: malformed shift file: ")
+    assert not out.exists()
+
+
 def test_cli_refuses_non_finite_results(tmp_path, capsys):
     mu_path = _gen_measure(tmp_path)
     big = tmp_path / "big.json"
@@ -546,6 +710,15 @@ def test_cli_refuses_non_finite_results(tmp_path, capsys):
              "--out", str(report)]
         ) == 2, norm
         assert f"error: the {norm} norm of this input is not finite" in capsys.readouterr().err
+    assert not report.exists()
+    # atb-upper takes no parameters: a root mean that is not zero, here a
+    # finite -7.5e307, is a fault of the function, not of the flags
+    hio.save_function(StepFunction(4, np.array([1.5e308, -1.5e308, -1.5e308, -1.5e308] * 4)), big)
+    assert main(
+        ["norm", "--function", str(big), "--measure", str(mu_path), "--norm", "atb-upper",
+         "--out", str(report)]
+    ) == 2
+    assert "error: cannot bound this function: " in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -89,8 +89,9 @@ def test_navigation_errors(tree):
 def test_node_key_roundtrip():
     node = Node(3, 5)
     assert node_from_key(str(node)) == node
-    with pytest.raises(TreeError):
-        node_from_key("3;5")
+    for key in ("3;5", " 3,5", "+3,5", "3_0,5", "3,\u0665", "3,5,1", "3,", 5):
+        with pytest.raises(TreeError):
+            node_from_key(key)
 
 
 def test_aggregate_heap_matches_brute_force():
