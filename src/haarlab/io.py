@@ -168,6 +168,15 @@ def _key_numbers(keys: list) -> np.ndarray:
     return out
 
 
+def _alphas(values: list) -> np.ndarray:
+    """The float64 array of shift coefficients that are JSON numbers; a
+    string, a bool or any other value is a FormatError."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise FormatError(f"malformed shift file: alpha must be a number, got {bad!r}")
+    return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+
+
 def shift_from_json(obj: dict, depth: int) -> Shift:
     try:
         kind = obj["kind"]
@@ -179,18 +188,15 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
             alphas = obj.get("alphas", {})
             levels, indices = _key_numbers(list(alphas.keys())).T.tolist()
             nodes = map(Node, levels, indices)
-            return CanonicalShift(
-                depth, m, s_sel, n, t_sel, dict(zip(nodes, map(float, alphas.values())))
-            )
+            values = _alphas(list(alphas.values())).tolist()
+            return CanonicalShift(depth, m, s_sel, n, t_sel, dict(zip(nodes, values)))
         if kind == "general":
             r, s = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "rs")
             terms = obj.get("terms", [])
             q, r_pos, s_pos = (
                 heap_positions(*_key_numbers([t[k] for t in terms]).T, depth) for k in "QRS"
             )
-            alpha = np.fromiter(
-                (float(t["alpha"]) for t in terms), dtype=np.float64, count=len(terms)
-            )
+            alpha = _alphas([t["alpha"] for t in terms])
             return GeneralShift.from_heap(depth, ShiftShape(r, s), q, r_pos, s_pos, alpha)
         raise FormatError(f"unknown shift kind {kind!r}")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:

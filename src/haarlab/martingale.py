@@ -11,22 +11,21 @@ multiplies of a single function, so its result is bit-identical to the
 one-function result.  The one-function API (`StepFunction`, `HaarSpectrum`,
 `analyze`, `synthesize`, ...) passes its single row as a 1-d array, which
 the same code takes as a batch without the leading axis.  Callers with many
-functions stack them and walk the stack in chunks (`row_chunks`,
-`stack_chunks`) of at most CHUNK_BYTES.
+functions stack them and walk the stack in chunks (`row_chunks`) of at
+most CHUNK_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .measure import MeasureTree
 from .tree import DyadicTree, Node, TreeError, aggregate, leaf_broadcast
 
-# bytes of one chunk of float64 rows in `row_chunks` and `stack_chunks`
+# bytes of one chunk of float64 rows in `row_chunks`
 CHUNK_BYTES = 1 << 20
 
 
@@ -128,13 +127,6 @@ def row_chunks(n_rows: int, depth: int) -> Iterator[slice]:
     step = _chunk_rows(depth)
     for start in range(0, n_rows, step):
         yield slice(start, start + step)
-
-
-def stack_chunks(functions: Iterable[StepFunction], depth: int) -> Iterator[np.ndarray]:
-    """The values of `functions` in order, stacked one chunk of rows at a time."""
-    functions = iter(functions)
-    while chunk := [f.values for f in islice(functions, _chunk_rows(depth))]:
-        yield np.stack(chunk)
 
 
 def first_max(values: np.ndarray) -> int:

@@ -10,7 +10,7 @@ independently of the search that found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -21,9 +21,7 @@ from .martingale import (
     _chunk_rows,
     analyze_rows,
     first_max,
-    haar_function,
     row_chunks,
-    stack_chunks,
     synthesize,
     synthesize_rows,
 )
@@ -46,13 +44,9 @@ class OpNormEstimate:
         return self.lower_bound
 
 
-def dense_haar_matrix(T: Shift, mu: MeasureTree | None = None) -> np.ndarray:
-    return haar_matrix(T, mu).toarray()
-
-
 def svd_opnorm(T: Shift, mu: MeasureTree | None = None) -> float:
     """Dense SVD oracle; intended for small depths only."""
-    mat = dense_haar_matrix(T, mu)
+    mat = haar_matrix(T, mu).toarray()
     return float(scipy.linalg.svdvals(mat)[0]) if mat.size else 0.0
 
 
@@ -137,13 +131,14 @@ def _ratio(
 def _best_node_probe(
     T: Shift, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> tuple[float, StepFunction | None]:
-    """The first probe of `node_probes` over every node with the largest
-    ratio, and that ratio; (-inf, None) when no ratio beats -inf.  The
-    probes are scored a chunk of rows at a time, each against the maximum
-    so far: a row certified to lie below it is skipped, and a row that ties
-    it is evaluated, so the first maximum is the one a full scan finds."""
+    """The first row of `node_probe_rows` over every node with the largest
+    ratio, as a `StepFunction`, and that ratio; (-inf, None) when no ratio
+    beats -inf.  The rows are scored a chunk at a time, each against the
+    maximum so far: a row certified to lie below it is skipped, and a row
+    that ties it is evaluated, so the first maximum is the one a full scan
+    finds."""
     best_val, best_f = -np.inf, None
-    for F in stack_chunks(node_probes(mu, mu.tree.nodes()), mu.depth):
+    for F in node_probe_rows(mu, np.arange(1, 2 << mu.depth)):
         vals = _ratio_rows(T, F, mu, from_norm, to_norm, bar=best_val)
         i = first_max(vals)
         if vals[i] > best_val:
@@ -151,23 +146,41 @@ def _best_node_probe(
     return best_val, best_f
 
 
-def node_probes(mu: MeasureTree, nodes: Iterable[Node]) -> Iterator[StepFunction]:
-    """The probe battery on `nodes`: first the Haar functions of the internal
-    ones, then, node by node, the indicator and the indicator recentred to
-    zero mean (for source norms that kill constants).
-
-    The order decides which of two equal ratios comes first, and so where
+def node_probe_rows(mu: MeasureTree, positions: np.ndarray) -> Iterator[np.ndarray]:
+    """The probe battery on the nodes at heap `positions`, in (P, 2**depth)
+    chunks of at most `_chunk_rows(depth)` rows: the Haar functions of the
+    internal nodes, then, node by node, the indicator and the indicator
+    recentred to zero mean (for source norms that kill constants).  The
+    order decides which of two equal ratios comes first, and so where
     `opnorm_lower_bound`'s greedy ascent starts.
-    """
-    nodes = list(nodes)
-    for node in nodes:
-        if node.level < mu.depth:
-            yield haar_function(mu, node)
-    total = mu.total_mass
-    for node in nodes:
-        ind = StepFunction.indicator(mu.tree, node)
-        yield ind
-        yield ind - StepFunction.constant(mu.depth, mu.mass(node) / total)
+
+    A row is a fill (0, or minus the node's share of the mass) plus constant
+    runs on the leaves of nodes, written by flat index: a Haar row has one
+    run on each child, the others one on the node.  The values are those of
+    `haar_function` and `StepFunction.indicator`, bit for bit."""
+    n = 1 << mu.depth
+    pos = np.asarray(positions, dtype=np.int64)
+    q = pos[pos < n]
+    c, mass = mu.haar_constant_heap[q], mu.mass_heap
+    share = mass[pos] / mass[1]
+    run_row = np.concatenate([np.repeat(np.arange(len(q)), 2), len(q) + np.arange(2 * len(pos))])
+    run_node = np.concatenate([np.stack([2 * q, 2 * q + 1], 1).ravel(), np.repeat(pos, 2)])
+    haar_val = np.stack([c / mass[2 * q], -c / mass[2 * q + 1]], 1).ravel()
+    pair_val = np.stack([np.ones(len(pos)), 1.0 - share], 1).ravel()
+    run_val = np.concatenate([haar_val, pair_val])
+    level = np.frexp(run_node)[1].astype(np.int64) - 1
+    run_len = n >> level
+    run_lo = (run_node - (1 << level)) * run_len
+    fill = np.zeros(len(q) + 2 * len(pos))
+    fill[len(q) + 1 :: 2] = 0.0 - share  # not -share: +0.0 where the share underflows
+    for chunk in row_chunks(len(fill), mu.depth):
+        out = np.repeat(fill[chunk, None], n, axis=1)
+        runs = slice(*np.searchsorted(run_row, (chunk.start, chunk.stop)))
+        lens = run_len[runs]
+        first = (run_row[runs] - chunk.start) * n + run_lo[runs]
+        flat = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        out.reshape(-1)[flat] = np.repeat(run_val[runs], lens)
+        yield out
 
 
 def opnorm_lower_bound(
@@ -248,7 +261,6 @@ def opnorm_lower_bound(
 
     if best_f is None:
         best_f = StepFunction.indicator(mu.tree, Node(0, 0))
-        best_val = _ratio(T, best_f, mu, from_norm, to_norm)
     value = _ratio(T, best_f, mu, from_norm, to_norm)
     return OpNormEstimate(
         from_norm=from_norm.label(),

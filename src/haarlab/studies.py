@@ -17,17 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
-from .martingale import (
-    StepFunction,
-    analyze_rows,
-    first_max,
-    haar_function,
-    row_chunks,
-    synthesize_rows,
-)
+from .martingale import analyze_rows, first_max, haar_function, row_chunks, synthesize_rows
 from .measure import MeasureTree, generate
 from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
-from .opnorm import node_probes
+from .opnorm import node_probe_rows
 from .shift import GeneralShift, Shift, ShiftShape, apply_shift, petermichl
 from .tree import Node
 
@@ -145,45 +138,42 @@ DEEP_NODE_SAMPLE = 48
 N_RANDOM_BLOCKS = 10
 
 
-def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator):
-    """All shallow nodes plus a seeded sample of deeper ones.  The deep
-    nodes are drawn by index: the i-th deep node, in level-then-index
-    order, sits at heap position 2**(shallow_max + 1) + i."""
-    tree = mu.tree
-    shallow_max = min(4, tree.depth)
+def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator) -> np.ndarray:
+    """Heap positions of all shallow nodes plus a seeded sample of deeper
+    ones.  The deep nodes are drawn by index: the i-th deep node, in
+    level-then-index order, sits at heap position 2**(shallow_max + 1) + i."""
+    shallow_max = min(4, mu.depth)
     first_deep = 2 << shallow_max
-    nodes = [tree.node_at(p) for p in range(1, first_deep)]
-    n_deep = (2 << tree.depth) - first_deep
+    positions = np.arange(1, first_deep)
+    n_deep = (2 << mu.depth) - first_deep
     if n_deep:
         picks = rng.choice(n_deep, size=min(DEEP_NODE_SAMPLE, n_deep), replace=False)
-        nodes.extend(tree.node_at(first_deep + int(i)) for i in sorted(picks))
-    return nodes
+        positions = np.concatenate([positions, first_deep + np.sort(picks)])
+    return positions
 
 
-def probe_battery(
-    mu: MeasureTree, seed: int, n_random: int = 12
-) -> list[StepFunction]:
-    """Haar functions, indicators (raw and recentred) of sampled nodes, and
-    n_random pairs of random functions."""
+def probe_battery(mu: MeasureTree, seed: int, n_random: int = 12) -> np.ndarray:
+    """The probes as one (P, 2**depth) array: the `node_probe_rows` of the
+    sampled nodes (Haar functions, then indicators raw and recentred), then
+    n_random pairs of random rows, a standard normal and a random sign."""
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
     rng = np.random.default_rng([seed, mu.depth])
-    probes = list(node_probes(mu, _sampled_nodes(mu, rng)))
+    rows = list(node_probe_rows(mu, _sampled_nodes(mu, rng)))
     n = 1 << mu.depth
     for t in range(n_random):
         trng = np.random.default_rng([seed, mu.depth, t])
-        probes.append(StepFunction(mu.depth, trng.standard_normal(n)))
-        probes.append(StepFunction(mu.depth, trng.choice([-1.0, 1.0], size=n)))
-    return probes
+        rows.append(np.stack([trng.standard_normal(n), trng.choice([-1.0, 1.0], size=n)]))
+    return np.concatenate(rows)
 
 
 def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
     """Canonical Haar blocks plus random validated multi-subatom blocks."""
     rng = np.random.default_rng([seed, mu.depth, 7])
     blocks = [
-        haar_block(mu, node)
-        for node in _sampled_nodes(mu, rng)
-        if node.level < mu.depth
+        haar_block(mu, mu.tree.node_at(int(p)))
+        for p in _sampled_nodes(mu, rng)
+        if p < 1 << mu.depth
     ]
     for t in range(N_RANDOM_BLOCKS):
         trng = np.random.default_rng([seed, mu.depth, 7, t])
@@ -279,8 +269,7 @@ def theorem_suite(
                 inputs = np.stack([b.function(depth).values for b in blocks])
                 denoms = np.array([b.cost for b in blocks])
             else:
-                # the stack replaces the probe list, which is not kept
-                inputs = np.stack([f.values for f in probe_battery(mu, seed, n_random=n_random)])
+                inputs = probe_battery(mu, seed, n_random=n_random)
                 denoms = np.concatenate([
                     source.evaluate_rows(inputs[chunk], mu)
                     for chunk in row_chunks(len(inputs), depth)

@@ -148,6 +148,10 @@ BAD_GENERAL_TERMS = [
     {"alpha": float("nan")},
     {"S": "1,2,3"},
     {"R": ""},
+    # an alpha that is not a JSON number; each of them used to load
+    {"alpha": "-0.5"},
+    {"alpha": " 1e-1 "},
+    {"alpha": True},
 ]
 
 
@@ -671,6 +675,10 @@ def test_cli_bad_shift_files_exit_2(tmp_path, capsys):
     out = tmp_path / "Tf.json"
     shifts = [_general_file(tmp_path / f"g{i}.json", R=key) for i, key in enumerate(BAD_KEYS)]
     shifts += [_canonical_file(tmp_path / "c.json", {"1,\u0660": 0.5})]
+    # alphas that are not JSON numbers
+    for i, alpha in enumerate(["-0.5", " 1e-1 ", True]):
+        shifts.append(_general_file(tmp_path / f"a{i}.json", alpha=alpha))
+        shifts.append(_canonical_file(tmp_path / f"ca{i}.json", {"1,0": alpha}))
     for i, (kind, override) in enumerate(BAD_SHIFT_FIELDS):
         write = _general_file if kind == "general" else _canonical_file
         path = write(tmp_path / f"f{i}.json")

@@ -25,7 +25,6 @@ from haarlab.martingale import (
     square_function,
     square_function_martingale,
     square_function_rows,
-    stack_chunks,
     synthesize,
     synthesize_rows,
 )
@@ -282,10 +281,6 @@ def test_chunks_cover_rows_in_order(monkeypatch):
     assert [(c.start, c.stop) for c in row_chunks(7, 4)] == [(0, 3), (3, 6), (6, 9)]
     assert list(row_chunks(0, 4)) == []
     assert [(c.start, c.stop) for c in row_chunks(2, 9)] == [(0, 1), (1, 2)]  # at least one row
-    fs = [StepFunction.constant(4, float(i)) for i in range(7)]
-    stacks = list(stack_chunks(iter(fs), 4))
-    assert [len(s) for s in stacks] == [3, 3, 1]
-    assert np.array_equal(np.concatenate(stacks)[:, 0], np.arange(7.0))
 
 
 # haar_basis_matrix as it was before it was written level by level, copied

@@ -1,15 +1,21 @@
 """Operator-norm estimation: power iteration, SVD oracle, probe lower bounds."""
 
+from itertools import islice
+from typing import Iterable, Iterator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from haarlab import martingale, opnorm
-from haarlab.martingale import StepFunction, haar_function
-from haarlab.measure import GENERATORS, generate, lebesgue, random_doubling
+from haarlab import martingale, opnorm, studies
+from haarlab.martingale import StepFunction, _chunk_rows, haar_function
+from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import NormSpec, lp_norm
 from haarlab.opnorm import (
-    dense_haar_matrix,
     l2_opnorm,
+    node_probe_rows,
     opnorm_lower_bound,
     svd_opnorm,
 )
@@ -19,9 +25,10 @@ from haarlab.shift import (
     ShiftShape,
     apply_shift,
     dense_alphas,
+    haar_matrix,
     petermichl,
 )
-from haarlab.tree import Node
+from haarlab.tree import DyadicTree, Node
 
 
 @pytest.fixture
@@ -68,7 +75,7 @@ def test_l2_opnorm_validation(mu):
 
 
 def test_dense_matrix_shape(mu):
-    mat = dense_haar_matrix(petermichl(mu.depth), mu)
+    mat = haar_matrix(petermichl(mu.depth), mu).toarray()
     n = (1 << mu.depth) - 1
     assert mat.shape == (n, n)
 
@@ -137,6 +144,87 @@ def test_deterministic_probe_order(monkeypatch):
         assert np.array_equal(seen[n + 2 * (p - 1)], centred.values)
 
 
+# opnorm.node_probes and martingale.stack_chunks, the StepFunction-per-probe
+# battery that node_probe_rows replaced, copied verbatim as its reference.
+def node_probes(mu: MeasureTree, nodes: Iterable[Node]) -> Iterator[StepFunction]:
+    """The probe battery on `nodes`: first the Haar functions of the internal
+    ones, then, node by node, the indicator and the indicator recentred to
+    zero mean (for source norms that kill constants).
+
+    The order decides which of two equal ratios comes first, and so where
+    `opnorm_lower_bound`'s greedy ascent starts.
+    """
+    nodes = list(nodes)
+    for node in nodes:
+        if node.level < mu.depth:
+            yield haar_function(mu, node)
+    total = mu.total_mass
+    for node in nodes:
+        ind = StepFunction.indicator(mu.tree, node)
+        yield ind
+        yield ind - StepFunction.constant(mu.depth, mu.mass(node) / total)
+
+
+def stack_chunks(functions: Iterable[StepFunction], depth: int) -> Iterator[np.ndarray]:
+    """The values of `functions` in order, stacked one chunk of rows at a time."""
+    functions = iter(functions)
+    while chunk := [f.values for f in islice(functions, _chunk_rows(depth))]:
+        yield np.stack(chunk)
+
+
+def _position_sets(mu):
+    # every node, the sample of the theorem suites, the root, and a leaf
+    rng = np.random.default_rng([0, mu.depth])
+    return {
+        "all": np.arange(1, 2 << mu.depth),
+        "sampled": studies._sampled_nodes(mu, rng),
+        "root": np.array([1]),
+        "leaf": np.array([(1 << mu.depth) + 1]),
+    }
+
+
+def _assert_rows_match_reference(mu, positions):
+    chunks = list(node_probe_rows(mu, positions))
+    assert all(F.dtype == np.float64 and len(F) <= _chunk_rows(mu.depth) for F in chunks)
+    nodes = [mu.tree.node_at(int(p)) for p in positions]
+    ref = np.concatenate(list(stack_chunks(node_probes(mu, nodes), mu.depth)))
+    assert np.concatenate(chunks).tobytes() == ref.tobytes()
+    return chunks
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_node_probe_rows_match_reference(kind):
+    for depth in range(2, 11):
+        mu = generate(kind, depth, seed=depth)
+        for positions in _position_sets(mu).values():
+            _assert_rows_match_reference(mu, positions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(masses=arrays(np.float64, 16, elements=st.floats(1e-300, 1.0)))
+def test_node_probe_rows_match_reference_on_extreme_masses(masses):
+    mu = MeasureTree(DyadicTree(4), masses)
+    for positions in _position_sets(mu).values():
+        _assert_rows_match_reference(mu, positions)
+
+
+def test_node_probe_rows_split_anywhere(monkeypatch):
+    # chunks of 2**D - 1 rows end once at the Haar block and once between
+    # an indicator and its recentred row; chunks of 1, 2 and 3 rows split
+    # every way
+    for depth in (3, 4):
+        mu = generate("random_doubling", depth, seed=1)
+        n_haar = (1 << depth) - 1
+        for rows in (1, 2, 3, n_haar):
+            monkeypatch.setattr(martingale, "CHUNK_BYTES", rows * 8 << depth)
+            for positions in _position_sets(mu).values():
+                chunks = _assert_rows_match_reference(mu, positions)
+                assert all(len(F) == rows for F in chunks[:-1])
+            if rows == n_haar:
+                ends = np.cumsum([len(F) for F in node_probe_rows(mu, np.arange(1, 2 << depth))])
+                assert n_haar in ends and 2 * n_haar in ends  # n_haar is odd
+
+
 # opnorm_lower_bound before its node probes were scored as one batch, copied
 # verbatim (its _ratio as _ref_ratio) as the reference for the batched stage.
 def _ref_ratio(T, f, mu, from_norm, to_norm):
@@ -148,7 +236,7 @@ def _ref_ratio(T, f, mu, from_norm, to_norm):
 
 def _ref_node_probe_stage(T, mu, from_norm, to_norm):
     best_val, best_f = -np.inf, None
-    for f in opnorm.node_probes(mu, mu.tree.nodes()):
+    for f in node_probes(mu, mu.tree.nodes()):
         val = _ref_ratio(T, f, mu, from_norm, to_norm)
         if val > best_val:
             best_val, best_f = val, f

@@ -151,7 +151,7 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
     depth = 5
     mu = generate(kind, depth, seed=3)
     battery = default_shift_battery(depth)
-    probes = [f.values for f in probe_battery(mu, 3, n_random=2)]
+    probes = list(probe_battery(mu, 3, n_random=2))
     probes += [b.function(depth).values for b in block_battery(mu, 3)]
     n = 1 << depth
     hard = [
@@ -250,7 +250,7 @@ def test_suite_maxima_helper_errors_reach_the_caller(monkeypatch):
             raise RuntimeError("broken shift")
 
     battery["petermichl_adj"] = Broken()  # the second shift: worker 1's share
-    F = np.stack([f.values for f in probe_battery(mu, 1, n_random=1)])
+    F = probe_battery(mu, 1, n_random=1)
     with pytest.raises(RuntimeError, match="broken shift"):
         studies._suite_maxima(battery, mu, F, np.ones(len(F)), NormSpec("bmo"))
     assert raised_on and raised_on[0] is not threading.main_thread()
@@ -261,7 +261,7 @@ def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
     suite makes; the H1 targets, which have no bound, on all of them."""
     mu = generate("random_doubling", 8, seed=0)
     battery = default_shift_battery(8)
-    probes = np.stack([f.values for f in probe_battery(mu, 0, n_random=6)])
+    probes = probe_battery(mu, 0, n_random=6)
     blocks = block_battery(mu, 0)
     block_rows = np.stack([b.function(8).values for b in blocks])
     block_costs = np.array([b.cost for b in blocks])
@@ -310,5 +310,6 @@ def test_sampled_nodes_match_reference(depth):
     mu = lebesgue(depth)
     for seed in range(4):
         rng, ref_rng = np.random.default_rng([seed, depth]), np.random.default_rng([seed, depth])
-        assert studies._sampled_nodes(mu, rng) == _ref_sampled_nodes(mu, ref_rng)
+        ref = [mu.tree.heap(node) for node in _ref_sampled_nodes(mu, ref_rng)]
+        assert studies._sampled_nodes(mu, rng).tolist() == ref
         assert rng.bit_generator.state == ref_rng.bit_generator.state
