@@ -16,7 +16,7 @@ import numpy as np
 
 from .martingale import StepFunction
 from .measure import MeasureError, MeasureTree
-from .shift import CanonicalShift, GeneralShift, Shift, ShiftError, ShiftShape, petermichl
+from .shift import CanonicalShift, GeneralShift, ShiftError, ShiftShape, petermichl
 from .tree import (
     MAX_DEPTH,
     NODE_KEY,
@@ -28,8 +28,10 @@ from .tree import (
     int_from_json,
 )
 
-# one term of a general shift file, as json.dumps writes the term's dict
+# one term of a general shift file, as json.dumps writes the term's dict,
+# and one coefficient of a canonical shift file's "alphas" dict
 _TERM = '{"Q": "%d,%d", "R": "%d,%d", "S": "%d,%d", "alpha": %r}'
+_ALPHA = '"%d,%d": %r'
 
 # node keys are checked and parsed 4096 at a time, joined by ";": one regex
 # match and one numpy parse per chunk, and a joined text that stays small
@@ -127,22 +129,20 @@ def load_function(path) -> StepFunction:
     return function_from_json(_read_json(path, "function"))
 
 
-def shift_text(T: Shift) -> str:
+def shift_text(T: GeneralShift) -> str:
     """The JSON text of a shift file, without the final newline.
 
-    A general shift is written in one pass from its heap arrays, to the
-    bytes json.dumps gives for its dict form: `_check_alpha` keeps every
-    alpha finite, and json writes a finite float as its `repr`.
+    A shift is written in one pass from its heap arrays, to the bytes
+    json.dumps gives for its dict form: `_check_alpha` keeps every alpha
+    finite, and json writes a finite float as its `repr`.  A canonical shift
+    writes its selector and every coefficient it was given, in heap order.
     """
     if isinstance(T, CanonicalShift):
-        return json.dumps({
-            "kind": "canonical",
-            "m": T.m,
-            "s": T.s_sel,
-            "n": T.n,
-            "t": T.t_sel,
-            "alphas": {str(node): a for node, a in sorted(T.alphas.items())},
-        })
+        levels, indices = heap_nodes(T._q_all)
+        alphas = ", ".join([_ALPHA % a for a in zip(levels, indices, T._alpha_all.tolist())])
+        return '{"kind": "canonical", "m": %d, "s": %d, "n": %d, "t": %d, "alphas": {%s}}' % (
+            T.m, T.s_sel, T.n, T.t_sel, alphas
+        )
     (ql, qi), (rl, ri), (sl, si) = (
         heap_nodes(pos) for pos in (T._r_pos >> T.shape.r, T._r_pos, T._s_pos)
     )
@@ -177,7 +177,7 @@ def _alphas(values: list) -> np.ndarray:
     return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
 
 
-def shift_from_json(obj: dict, depth: int) -> Shift:
+def shift_from_json(obj: dict, depth: int) -> GeneralShift:
     try:
         kind = obj["kind"]
         if kind == "petermichl":
@@ -186,10 +186,9 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
             m, n = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "mn")
             s_sel, t_sel = (int_from_json(obj[k], k) for k in "st")
             alphas = obj.get("alphas", {})
-            levels, indices = _key_numbers(list(alphas.keys())).T.tolist()
-            nodes = map(Node, levels, indices)
-            values = _alphas(list(alphas.values())).tolist()
-            return CanonicalShift(depth, m, s_sel, n, t_sel, dict(zip(nodes, values)))
+            q = heap_positions(*_key_numbers(list(alphas.keys())).T, depth)
+            alpha = _alphas(list(alphas.values()))
+            return CanonicalShift.from_heap(depth, m, s_sel, n, t_sel, q, alpha)
         if kind == "general":
             r, s = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "rs")
             terms = obj.get("terms", [])
@@ -205,11 +204,11 @@ def shift_from_json(obj: dict, depth: int) -> Shift:
         raise FormatError(f"malformed shift file: {exc}") from exc
 
 
-def save_shift(T: Shift, path) -> None:
+def save_shift(T: GeneralShift, path) -> None:
     Path(path).write_text(shift_text(T) + "\n")
 
 
-def load_shift(path, depth: int) -> Shift:
+def load_shift(path, depth: int) -> GeneralShift:
     return shift_from_json(_read_json(path, "shift"), depth)
 
 

@@ -27,7 +27,7 @@ from .martingale import (
 )
 from .measure import MeasureTree
 from .norms import NormSpec, contending_ratios
-from .shift import Shift, haar_matrix
+from .shift import GeneralShift, haar_matrix
 from .tree import Node
 
 
@@ -44,13 +44,13 @@ class OpNormEstimate:
         return self.lower_bound
 
 
-def svd_opnorm(T: Shift, mu: MeasureTree | None = None) -> float:
+def svd_opnorm(T: GeneralShift, mu: MeasureTree | None = None) -> float:
     """Dense SVD oracle; intended for small depths only."""
     mat = haar_matrix(T, mu).toarray()
     return float(scipy.linalg.svdvals(mat)[0]) if mat.size else 0.0
 
 
-def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
+def l2_opnorm(T: GeneralShift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
     """Largest singular value of the Haar-domain matrix via power iteration
     on T*T, with a deterministic seeded start and an iteration cap of
     10 * 2**depth.  Non-convergence is flagged, never raised.
@@ -98,7 +98,7 @@ def l2_opnorm(T: Shift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:
 
 
 def _ratio_rows(
-    T: Shift,
+    T: GeneralShift,
     F: np.ndarray,
     mu: MeasureTree,
     from_norm: NormSpec,
@@ -123,13 +123,13 @@ def _ratio_rows(
 
 
 def _ratio(
-    T: Shift, f: StepFunction, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
+    T: GeneralShift, f: StepFunction, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> float:
     return float(_ratio_rows(T, f.values[None], mu, from_norm, to_norm)[0])
 
 
 def _best_node_probe(
-    T: Shift, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
+    T: GeneralShift, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> tuple[float, StepFunction | None]:
     """The first row of `node_probe_rows` over every node with the largest
     ratio, as a `StepFunction`, and that ratio; (-inf, None) when no ratio
@@ -184,7 +184,7 @@ def node_probe_rows(mu: MeasureTree, positions: np.ndarray) -> Iterator[np.ndarr
 
 
 def opnorm_lower_bound(
-    T: Shift,
+    T: GeneralShift,
     mu: MeasureTree,
     from_norm: NormSpec,
     to_norm: NormSpec,

@@ -1,12 +1,16 @@
 """Haar shift operators: general and canonical forms, adjoints, application.
 
-A shift acts entirely in the Haar coefficient domain: application is one
+Every shift is a `GeneralShift`, stored as heap-position arrays of its terms.
+A `CanonicalShift` is a GeneralShift that also remembers its selector and its
+per-node coefficients, so that it is saved in the canonical file form.  A
+shift acts entirely in the Haar coefficient domain: application is one
 analysis pass, a sparse coefficient shuffle, and one synthesis pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,62 +167,75 @@ def petermichl(depth: int) -> GeneralShift:
     return GeneralShift.from_heap(depth, ShiftShape(0, 1), q, q, children, alpha)
 
 
-@dataclass
-class CanonicalShift:
-    """Single-selector form: one input selector (m, s_sel) and one output
-    selector (n, t_sel), with a sparse per-node coefficient map.
+class CanonicalShift(GeneralShift):
+    """Single-selector form: one input selector (m, s_sel), one output
+    selector (n, t_sel) and one coefficient per node Q, so that R sits at heap
+    position (Q << m) + s_sel and S at (Q << n) + t_sel.
 
-    Absent nodes in `alphas` carry coefficient zero.  The general form puts
-    R at heap position (q << m) + s_sel and S at (q << n) + t_sel.
+    It is the GeneralShift of the Q whose selected descendants both sit above
+    the leaves.  Beside those terms it keeps every given coefficient, sorted
+    by heap position, in `_q_all` and `_alpha_all`: the canonical file form
+    also holds the coefficients of deeper nodes, which carry no term.  Absent
+    nodes carry coefficient zero.
     """
 
-    depth: int
-    m: int
-    s_sel: int
-    n: int
-    t_sel: int
-    alphas: dict[Node, float] = field(default_factory=dict)
+    # perfbench/tracing.py wraps these and `to_general` through
+    # CanonicalShift.__dict__, so they are bound here as well as inherited
+    apply_spectrum = GeneralShift.apply_spectrum
+    adjoint = GeneralShift.adjoint
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ShiftError("selector depths must be non-negative")
-        if not (0 <= self.s_sel < (1 << self.m)):
-            raise ShiftError(f"input selector {self.s_sel} out of range for m={self.m}")
-        if not (0 <= self.t_sel < (1 << self.n)):
-            raise ShiftError(f"output selector {self.t_sel} out of range for n={self.n}")
-        if self.depth < 1:
-            raise TreeError(f"depth must be >= 1, got {self.depth}")
-        pos = _positions(self.alphas, self.depth)
-        alpha = np.fromiter(self.alphas.values(), dtype=np.float64, count=len(pos))
-        _check_in_tree(self.depth, pos)
+    def __init__(self, depth: int, m: int, s_sel: int, n: int, t_sel: int, alphas: Mapping):
+        """Build from a {(level, index) node: alpha} mapping."""
+        alpha = np.fromiter(alphas.values(), dtype=np.float64, count=len(alphas))
+        self._store_canonical(depth, m, s_sel, n, t_sel, _positions(alphas, depth), alpha)
+
+    @classmethod
+    def from_heap(
+        cls, depth: int, m: int, s_sel: int, n: int, t_sel: int, q_pos, alpha
+    ) -> "CanonicalShift":
+        """Build from an array of heap positions Q and their coefficients."""
+        T = cls.__new__(cls)
+        T._store_canonical(depth, m, s_sel, n, t_sel, q_pos, alpha)
+        return T
+
+    def _store_canonical(
+        self, depth: int, m: int, s_sel: int, n: int, t_sel: int, q_pos, alpha
+    ) -> None:
+        """Validate the selector and the coefficient arrays, then store the
+        terms through `GeneralShift._store`; both constructors end here."""
+        if m < 0 or n < 0 or not (0 <= s_sel < 1 << m and 0 <= t_sel < 1 << n):
+            raise ShiftError(f"selector (m={m}, s={s_sel}; n={n}, t={t_sel}) out of range")
+        if depth < 1:
+            raise TreeError(f"depth must be >= 1, got {depth}")
+        q_pos = np.asarray(q_pos, dtype=np.int64)
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if not (q_pos.ndim == 1 and q_pos.shape == alpha.shape):
+            raise ShiftError("Q and alpha must be 1-d arrays of one length")
+        _check_in_tree(depth, q_pos)
         _check_alpha(alpha)
-        self.alphas = dict(zip(_nodes(pos), alpha.tolist()))
-        self.shape = ShiftShape(self.m, self.n)
-        self._general: GeneralShift | None = None
+        order = np.argsort(q_pos, kind="stable")
+        q_pos, alpha = q_pos[order], alpha[order]
+        if (q_pos[1:] == q_pos[:-1]).any():
+            raise ShiftError("a node has two coefficients")
+        # keep Q whose selected descendants both sit above the leaves; the cut
+        # comes before the shifts, so q << m cannot overflow
+        keep = q_pos < 1 << max(depth - max(m, n), 0)
+        q = q_pos[keep]
+        self._store(depth, ShiftShape(m, n), q, (q << m) + s_sel, (q << n) + t_sel, alpha[keep])
+        self.m, self.s_sel, self.n, self.t_sel = m, s_sel, n, t_sel
+        self._q_all, self._alpha_all = q_pos, alpha
+
+    @property
+    def alphas(self) -> dict[Node, float]:
+        """Every given coefficient by node, in heap order."""
+        return dict(zip(_nodes(self._q_all), self._alpha_all.tolist()))
 
     def to_general(self) -> GeneralShift:
-        """Lossless embedding into the general term form (cached)."""
-        if self._general is not None:
-            return self._general
-        nodes = sorted(self.alphas)  # heap order
-        q = _positions(nodes, self.depth)
-        alpha = np.fromiter(map(self.alphas.get, nodes), dtype=np.float64, count=len(nodes))
-        # keep Q whose selected descendants both sit above the leaves
-        keep = q < 1 << max(self.depth - max(self.m, self.n), 0)
-        q, alpha = q[keep], alpha[keep]
-        self._general = GeneralShift.from_heap(
-            self.depth, self.shape, q, (q << self.m) + self.s_sel, (q << self.n) + self.t_sel, alpha
+        """The same terms as a plain GeneralShift, saved as kind "general"."""
+        r = self._r_pos
+        return GeneralShift.from_heap(
+            self.depth, self.shape, r >> self.shape.r, r, self._s_pos, self._alpha
         )
-        return self._general
-
-    def apply_rows(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.to_general().apply_rows(coeffs)
-
-    def apply_spectrum(self, spec: HaarSpectrum) -> HaarSpectrum:
-        return self.to_general().apply_spectrum(spec)
-
-    def adjoint(self) -> GeneralShift:
-        return self.to_general().adjoint()
 
 
 def dense_alphas(depth: int, m: int, n: int, value: float = 1.0) -> dict[Node, float]:
@@ -226,25 +243,18 @@ def dense_alphas(depth: int, m: int, n: int, value: float = 1.0) -> dict[Node, f
     return dict.fromkeys(_nodes(np.arange(1, 1 << max(depth - max(m, n), 0))), value)
 
 
-Shift = GeneralShift | CanonicalShift
-
-
-def apply_shift(T: Shift, f: StepFunction, mu: MeasureTree) -> StepFunction:
+def apply_shift(T: GeneralShift, f: StepFunction, mu: MeasureTree) -> StepFunction:
     """Tf = sum over terms alpha <f, h_R> h_S."""
     return synthesize(T.apply_spectrum(analyze(f, mu)), mu)
 
 
-def haar_matrix(T: Shift, mu: MeasureTree | None = None) -> sp.csr_matrix:
-    """Sparse Haar-domain matrix: entry (heap(S)-1, heap(R)-1) accumulates alpha.
+def haar_matrix(T: GeneralShift, mu: MeasureTree | None = None) -> sp.csr_matrix:
+    """The coefficient action without heap slot 0: entry (heap(S)-1,
+    heap(R)-1) holds alpha, one stored entry per term, as in `_matrix`.
 
     The coefficient action of a shift does not depend on the measure; the
     optional argument only cross-checks the depth.
     """
-    general = T if isinstance(T, GeneralShift) else T.to_general()
-    if mu is not None and mu.depth != general.depth:
-        raise ShiftError(f"measure depth {mu.depth} != shift depth {general.depth}")
-    n = (1 << general.depth) - 1
-    mat = sp.coo_matrix(
-        (general._alpha, (general._s_pos - 1, general._r_pos - 1)), shape=(n, n)
-    )
-    return mat.tocsr()
+    if mu is not None and mu.depth != T.depth:
+        raise ShiftError(f"measure depth {mu.depth} != shift depth {T.depth}")
+    return T._matrix[1:, 1:]

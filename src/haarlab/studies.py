@@ -21,7 +21,7 @@ from .martingale import analyze_rows, first_max, haar_function, row_chunks, synt
 from .measure import MeasureTree, generate
 from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
 from .opnorm import node_probe_rows
-from .shift import GeneralShift, Shift, ShiftShape, apply_shift, petermichl
+from .shift import CanonicalShift, GeneralShift, apply_shift, petermichl
 from .tree import Node
 
 
@@ -112,14 +112,13 @@ SUITES: dict[str, tuple[NormSpec | None, NormSpec]] = {
 THEOREM_NAMES = tuple(SUITES)
 
 
-def default_shift_battery(depth: int) -> dict[str, Shift]:
+def default_shift_battery(depth: int) -> dict[str, GeneralShift]:
     """The shifts exercised by the boundedness suites: the dyadic Hilbert
     transform, its adjoint, and canonical shifts of complexity <= 2 with
-    coefficients identically +1 or -1, built from heap arrays: every Q whose
-    selected descendants R = (Q << m) + s and S = (Q << n) + t sit above the
-    leaves, in heap order."""
+    coefficients identically +1 or -1 on every node whose selected
+    descendants sit above the leaves."""
     hilbert = petermichl(depth)
-    battery: dict[str, Shift] = {"petermichl": hilbert, "petermichl_adj": hilbert.adjoint()}
+    battery = {"petermichl": hilbert, "petermichl_adj": hilbert.adjoint()}
     for m, s_sel, n, t_sel, a in [
         (1, 0, 0, 0, 1.0),
         (0, 0, 1, 1, -1.0),
@@ -127,9 +126,7 @@ def default_shift_battery(depth: int) -> dict[str, Shift]:
     ]:
         name = f"canonical[m={m},s={s_sel},n={n},t={t_sel},a={a:+g}]"
         q = np.arange(1, 1 << max(depth - max(m, n), 0))
-        battery[name] = GeneralShift.from_heap(
-            depth, ShiftShape(m, n), q, (q << m) + s_sel, (q << n) + t_sel, np.full(len(q), a)
-        )
+        battery[name] = CanonicalShift.from_heap(depth, m, s_sel, n, t_sel, q, np.full(len(q), a))
     return battery
 
 
@@ -193,7 +190,7 @@ def _usable_cpus() -> int:
 
 
 def _suite_maxima(
-    battery: dict[str, Shift],
+    battery: dict[str, GeneralShift],
     mu: MeasureTree,
     inputs: np.ndarray,
     denoms: np.ndarray,

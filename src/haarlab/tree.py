@@ -8,7 +8,6 @@ package are heap-indexed with slot 0 unused.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -30,14 +29,6 @@ class Node(NamedTuple):
 # the "level,index" serialization of a node: ASCII digits only, at most 18
 # of them per number, so both numbers fit in int64
 NODE_KEY = "[0-9]{1,18},[0-9]{1,18}"
-
-
-def node_from_key(key: str) -> Node:
-    """Parse the 'level,index' serialization of a node."""
-    if not isinstance(key, str) or not re.fullmatch(NODE_KEY, key):
-        raise TreeError(f"bad node key {key!r}")
-    k, j = key.split(",")
-    return Node(int(k), int(j))
 
 
 # heap positions are int64, and the last node of a depth-62 tree sits at

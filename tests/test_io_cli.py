@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import json
 import re
 
@@ -131,6 +132,57 @@ def test_canonical_writer_drops_leaf_terms():
     T = build()
     # Q below level 3 has leaf children: 8 + 16 of the 31 alphas are dropped
     assert len(T.terms) == 7 and all(q.level < 3 for q, *_ in T.terms)
+
+
+def _reference_canonical_text(m, s_sel, n, t_sel, alphas):
+    """json.dumps of a canonical shift's old dict form: the coefficients as
+    floats, keyed by "level,index" in sorted `Node` order."""
+    items = sorted((Node(*node), float(a)) for node, a in alphas.items())
+    obj = {"kind": "canonical", "m": m, "s": s_sel, "n": n, "t": t_sel}
+    return json.dumps(obj | {"alphas": {str(node): a for node, a in items}})
+
+
+def _assert_canonical_bytes(tmp_path, path, depth, selector, alphas):
+    """The file at `path` is the reference text, and saves again to itself."""
+    assert path.read_text() == _reference_canonical_text(*selector, alphas) + "\n"
+    again = tmp_path / "again.json"
+    hio.save_shift(hio.load_shift(path, depth), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("depth", range(2, 9))
+def test_canonical_writer_matches_json_dumps(tmp_path, depth):
+    path = tmp_path / "T.json"
+    for m, n in itertools.product(range(3), repeat=2):
+        for s_sel, t_sel in itertools.product(range(1 << m), range(1 << n)):
+            alphas = dense_alphas(depth, m, n, -0.5 if (s_sel + t_sel) % 2 else 1.0)
+            hio.save_shift(CanonicalShift(depth, m, s_sel, n, t_sel, alphas), path)
+            _assert_canonical_bytes(tmp_path, path, depth, (m, s_sel, n, t_sel), alphas)
+
+
+def test_canonical_writer_keeps_every_coefficient(tmp_path):
+    path = tmp_path / "T.json"
+    # alphas on every node, leaves included: the deep ones carry no term
+    rng = np.random.default_rng(8)
+    every = {Node(k, j): a for k in range(6) for j, a in enumerate(rng.uniform(-1, 1, 1 << k))}
+    hio.save_shift(CanonicalShift(5, 2, 1, 1, 0, every), path)
+    _assert_canonical_bytes(tmp_path, path, 5, (2, 1, 1, 0), every)
+    # alphas whose repr is exponential, long or signed zero, and an int
+    nodes = [Node(1, 0), Node(3, 5), Node(0, 0), Node(2, 2), Node(4, 15)]
+    edge = dict(zip(nodes, [-0.0, 5e-324, 1 / 3, 1e-05, 1]))
+    hio.save_shift(CanonicalShift(4, 1, 0, 1, 1, edge), path)
+    _assert_canonical_bytes(tmp_path, path, 4, (1, 0, 1, 1), edge)
+
+
+def test_canonical_file_keys_out_of_heap_order(tmp_path):
+    alphas = {"2,3": 0.25, "0,0": -1, "3,0": 1e-05, "1,1": 0.5, "1,0": -0.0, "2,0": 5e-324}
+    hand = tmp_path / "hand.json"
+    obj = {"kind": "canonical", "m": 1, "s": 1, "n": 0, "t": 0, "alphas": alphas}
+    hand.write_text(json.dumps(obj))
+    path = tmp_path / "T.json"
+    hio.save_shift(hio.load_shift(hand, 3), path)
+    nodes = {tuple(map(int, key.split(","))): a for key, a in alphas.items()}
+    _assert_canonical_bytes(tmp_path, path, 3, (1, 1, 0, 0), nodes)
 
 
 def _general_file(path, **override):

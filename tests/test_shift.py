@@ -1,8 +1,11 @@
 """Shift construction, validation, application, adjoints, and matrices."""
 
+import json
+
 import numpy as np
 import pytest
 
+from haarlab import io as hio
 from haarlab.martingale import HaarSpectrum, StepFunction, analyze, haar_function
 from haarlab.measure import random_doubling
 from haarlab.norms import inner_product, lp_norm
@@ -16,7 +19,7 @@ from haarlab.shift import (
     haar_matrix,
     petermichl,
 )
-from haarlab.tree import DyadicTree, Node, TreeError
+from haarlab.tree import DyadicTree, Node, TreeError, heap_nodes
 
 
 @pytest.fixture
@@ -99,10 +102,15 @@ def test_adjoint_pairing(mu):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_canonical_matches_general(mu):
+def test_canonical_matches_general(mu, tmp_path):
     T = CanonicalShift(mu.depth, 1, 0, 1, 1, dense_alphas(mu.depth, 1, 1, -1.0))
     G = T.to_general()
-    assert G is T.to_general()  # cached
+    assert type(G) is GeneralShift
+    assert (G.depth, G.shape, G.dropped) == (T.depth, T.shape, T.dropped)
+    for field in ("_r_pos", "_s_pos", "_alpha"):
+        assert np.array_equal(getattr(G, field), getattr(T, field))
+    hio.save_shift(G, tmp_path / "G.json")
+    assert json.loads((tmp_path / "G.json").read_text())["kind"] == "general"
     rng = np.random.default_rng(2)
     f = StepFunction(mu.depth, rng.standard_normal(16))
     a = apply_shift(T, f, mu)
@@ -110,17 +118,55 @@ def test_canonical_matches_general(mu):
     assert np.array_equal(a.values, b.values)
 
 
+# (depth, m, s_sel, n, t_sel), coefficient map, and the error both
+# constructors raise for it
+BAD_CANONICAL = [
+    ((4, -1, 0, 0, 0), {}, ShiftError),
+    ((4, 1, 2, 0, 0), {}, ShiftError),  # selector out of range
+    ((4, 0, 0, 2, 4), {}, ShiftError),
+    ((0, 0, 0, 0, 0), {}, TreeError),  # depth < 1
+    ((4, 0, 0, 0, 0), {Node(0, 0): 1.5}, ShiftError),
+    ((4, 0, 0, 0, 0), {Node(5, 0): 1.0}, TreeError),
+    ((4, 0, 0, 0, 0), {Node(0, 0): np.nan}, ShiftError),
+]
+
+
 def test_canonical_validation():
-    with pytest.raises(ShiftError):
-        CanonicalShift(4, -1, 0, 0, 0, {})
-    with pytest.raises(ShiftError):
-        CanonicalShift(4, 1, 2, 0, 0, {})  # selector out of range
-    with pytest.raises(ShiftError):
-        CanonicalShift(4, 0, 0, 0, 0, {Node(0, 0): 1.5})
-    with pytest.raises(TreeError):
-        CanonicalShift(4, 0, 0, 0, 0, {Node(5, 0): 1.0})
-    with pytest.raises(ShiftError):
-        CanonicalShift(4, 0, 0, 0, 0, {Node(0, 0): np.nan})
+    for args, alphas, error in BAD_CANONICAL:
+        with pytest.raises(error):
+            CanonicalShift(*args, alphas)
+        q = [(1 << k) + j for k, j in alphas]
+        with pytest.raises(error):
+            CanonicalShift.from_heap(*args, q, list(alphas.values()))
+    # only the array form can give a node twice, or mismatched arrays
+    for q, alpha in (([2, 3, 2], [0.5, 0.5, 0.25]), ([1, 2], [1.0])):
+        with pytest.raises(ShiftError):
+            CanonicalShift.from_heap(4, 0, 0, 0, 0, q, alpha)
+
+
+def test_canonical_deep_selector_builds_no_terms():
+    # every Q is cut before R = Q << 62 is formed, so nothing overflows
+    q = np.arange(1, 2 << 16)
+    T = CanonicalShift.from_heap(16, 62, 0, 0, 0, q, np.full(len(q), 0.5))
+    assert len(T._alpha) == len(T._r_pos) == len(T._s_pos) == 0 and T.dropped == 0
+    assert np.array_equal(T._q_all, q)
+    assert not T.apply_rows(np.ones((2, 1 << 16))).any()
+
+
+@pytest.mark.parametrize("depth", [2, 5, 9])
+def test_canonical_from_heap_matches_mapping(depth):
+    rng = np.random.default_rng(depth)
+    for m, s_sel, n, t_sel in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (0, 0, 2, 3)]:
+        # a random subset of every node, leaves included, in random order
+        q = rng.permutation(np.arange(1, 2 << depth))[: 1 << depth]
+        alpha = rng.uniform(-1.0, 1.0, len(q))
+        alphas = dict(zip(map(Node, *heap_nodes(q)), alpha.tolist()))
+        A = CanonicalShift.from_heap(depth, m, s_sel, n, t_sel, q, alpha)
+        B = CanonicalShift(depth, m, s_sel, n, t_sel, alphas)
+        assert (A.shape, A.dropped) == (B.shape, B.dropped) == (ShiftShape(m, n), 0)
+        for field in ("_r_pos", "_s_pos", "_alpha", "_q_all", "_alpha_all"):
+            assert getattr(A, field).tobytes() == getattr(B, field).tobytes()
+        assert A.alphas == B.alphas == dict(sorted(alphas.items()))
 
 
 def test_dense_alphas_respects_cutoff():
@@ -140,6 +186,17 @@ def test_haar_matrix_matches_terms(mu):
     assert np.sum(mat != 0) == len(T.terms)
     with pytest.raises(ShiftError):
         haar_matrix(T, random_doubling(3, seed=0))
+
+
+def test_haar_matrix_keeps_duplicate_terms():
+    # one stored entry per term, as the shift action adds them; the dense
+    # form still sums the duplicates
+    T = _colliding_shift(6, np.random.default_rng(3))
+    mat = haar_matrix(T)
+    assert mat.nnz == len(T._alpha)
+    dense = np.zeros(((1 << 6) - 1,) * 2)
+    np.add.at(dense, (T._s_pos - 1, T._r_pos - 1), T._alpha)
+    assert np.array_equal(mat.toarray(), dense)
 
 
 def test_shift_acts_diagonally_in_haar_domain(mu):
@@ -288,9 +345,8 @@ def test_apply_rows_match_one_spectrum_reference(depth):
         assert dropped.dropped == len(last) and len(dropped._alpha) == 0
         shifts.append(dropped)
     for T in shifts:
-        general = T if isinstance(T, GeneralShift) else T.to_general()
         with np.errstate(invalid="ignore"):  # inf - inf in a sum
-            refs = np.stack([_ref_apply_spectrum(general, row) for row in C])
+            refs = np.stack([_ref_apply_spectrum(T, row) for row in C])
             images, first = T.apply_rows(C), T.apply_rows(C[:1])
         assert images.shape == C.shape and first.shape == (1, n)
         assert images.tobytes() == refs.tobytes()  # signs of zeros and NaN bits too

@@ -11,7 +11,6 @@ from haarlab.tree import (
     aggregate_heap,
     leaf_broadcast,
     level_sums,
-    node_from_key,
 )
 
 
@@ -84,14 +83,6 @@ def test_navigation_errors(tree):
         tree.descendant(Node(0, 0), 1, 2)
     with pytest.raises(TreeError):
         DyadicTree(0)
-
-
-def test_node_key_roundtrip():
-    node = Node(3, 5)
-    assert node_from_key(str(node)) == node
-    for key in ("3;5", " 3,5", "+3,5", "3_0,5", "3,\u0665", "3,5,1", "3,", 5):
-        with pytest.raises(TreeError):
-            node_from_key(key)
 
 
 def test_aggregate_heap_matches_brute_force():
