@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as hio
 from .atomic import atb_upper_bound
-from .measure import MeasureError, family_params, generate
+from .measure import GENERATORS, MeasureError, family_params, generate
 from .norms import NORMS, NormError, NormSpec
 from .shift import ShiftError, apply_shift
 from .studies import blowup_study, rows_to_csv, theorem_suite, THEOREM_NAMES
@@ -58,8 +58,8 @@ def _emit(payload: str, out: str | None, config: dict) -> None:
         _write_manifest(out, config)
 
 
-# family flags of `measure gen` and `study`, by argparse dest
-FAMILY_FLAGS = ("q", "M", "p_min", "p_max")
+# family flags of `measure gen` and `study`: every parameter some family takes
+FAMILY_FLAGS = tuple(dict.fromkeys(k for kind in GENERATORS for k in family_params(kind)))
 # norm flags of `haarlab norm`: every parameter some table norm takes
 NORM_FLAGS = tuple(dict.fromkeys(k for entry in NORMS.values() for k in entry.params))
 
@@ -103,7 +103,7 @@ def cmd_measure(args) -> int:
         try:
             [fam] = _families_from_args([args.kind], args)
             mu = generate(depth=args.depth, seed=args.seed, **fam)
-        except MeasureError as exc:
+        except ValueError as exc:  # a MeasureError, or a depth numpy cannot allocate
             raise CliError(EXIT_INPUT, f"invalid measure spec: {exc}")
         rep = mu.balanced_constant()
         if args.out:

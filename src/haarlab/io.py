@@ -1,32 +1,27 @@
 """Stable JSON file formats for measures, step functions, and shifts.
 
-Node keys serialize as "level,index" strings of ASCII digits.  Files are
-read with orjson and written in the stdlib `json` layout (", " and ": "
-separators, floats as `repr`), so a saved file loads and saves again to the
-same bytes.
+This is the only module that knows the file formats.  Its parsers read
+every integer field through `_int`, every float field through `_floats`
+(or its scalar form `_float`), which accept JSON numbers only, and map
+every error a bad field raises to one FormatError.  Node keys serialize as
+"level,index" strings of ASCII digits.  Files are read with orjson and
+written in the stdlib `json` layout (", " and ": " separators, floats as
+`repr`), so a saved file loads and saves again to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .martingale import StepFunction
-from .measure import MeasureError, MeasureTree
-from .shift import CanonicalShift, GeneralShift, ShiftError, ShiftShape, petermichl
-from .tree import (
-    MAX_DEPTH,
-    NODE_KEY,
-    Node,
-    TreeError,
-    depth_from_json,
-    heap_nodes,
-    heap_positions,
-    int_from_json,
-)
+from .measure import MeasureTree
+from .shift import CanonicalShift, GeneralShift, ShiftShape, petermichl
+from .tree import MAX_DEPTH, DyadicTree, Node, heap_nodes, heap_positions
 
 # one term of a general shift file, as json.dumps writes the term's dict,
 # and one coefficient of a canonical shift file's "alphas" dict
@@ -38,8 +33,11 @@ _ALPHA = '"%d,%d": %r'
 # (joining all 65,534 keys of a depth-16 shift at once costs 8 MB of peak
 # memory)
 _KEY_CHUNK = 4096
-_KEY = re.compile(NODE_KEY, re.ASCII)
-_KEYS = re.compile(f"{NODE_KEY}(?:;{NODE_KEY})*", re.ASCII)
+# a node key: ASCII digits only, at most 18 of them per number, so both
+# numbers fit in int64
+_NODE_KEY = "[0-9]{1,18},[0-9]{1,18}"
+_KEY = re.compile(_NODE_KEY, re.ASCII)
+_KEYS = re.compile(f"{_NODE_KEY}(?:;{_NODE_KEY})*", re.ASCII)
 
 # json.dumps writes a finite float as its repr, which is positional for 0
 # and for 1e-4 <= |v| < 1e16, and there orjson writes the same digits;
@@ -50,6 +48,54 @@ _PLAIN_MIN, _PLAIN_MAX = 1e-4, 1e16
 
 class FormatError(ValueError):
     """Malformed input file."""
+
+
+@contextmanager
+def _malformed(kind: str):
+    """The one error mapping of the parsers: an error raised on a bad field
+    is a FormatError("malformed <kind> file: ...").  MeasureError,
+    ShiftError and TreeError are ValueErrors, so they are mapped too."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed {kind} file: {exc}") from exc
+
+
+def _int(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """An integer field: an int, or an integral float, in lo .. hi (no
+    upper end when hi is None).  Anything else, a bool included, is a
+    ValueError, never a silent truncation."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return value
+
+
+def _depth(value) -> int:
+    """The depth field of a measure or function file: an integer in
+    1 .. MAX_DEPTH, so that 2**depth can be allocated."""
+    return _int(value, "depth", 1, MAX_DEPTH)
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """The float64 array of a list of JSON numbers; a string, a bool, null
+    or any other entry is a TypeError naming the field."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise TypeError(f"{name}: expected a number, got {bad!r}")
+    return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+
+
+def _float(value, name: str) -> float:
+    """A scalar float field: `_floats` of one value."""
+    return float(_floats([value], name)[0])
 
 
 def _read_json(path, what: str):
@@ -103,22 +149,28 @@ def save_measure(mu: MeasureTree, path) -> None:
     _save_leaves(path, {"root": root, "depth": mu.depth}, "leaf_masses", mu.leaf_masses)
 
 
+def measure_from_json(obj: dict) -> MeasureTree:
+    with _malformed("measure"):
+        root = obj.get("root", {})
+        tree = DyadicTree(
+            _depth(obj["depth"]),
+            _float(root.get("origin", 0.0), "root.origin"),
+            _float(root.get("length", 1.0), "root.length"),
+        )
+        return MeasureTree(tree, _floats(obj["leaf_masses"], "leaf_masses"))
+
+
 def load_measure(path) -> MeasureTree:
-    obj = _read_json(path, "measure")
-    try:
-        return MeasureTree.from_json(obj)
-    except MeasureError as exc:
-        raise FormatError(f"cannot load measure from {path}: {exc}") from exc
+    return measure_from_json(_read_json(path, "measure"))
 
 
 def function_from_json(obj: dict) -> StepFunction:
-    try:
-        f = StepFunction(depth_from_json(obj["depth"]), obj["leaf_values"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed function file: {exc}") from exc
-    if not np.all(np.isfinite(f.values)):
-        raise FormatError("malformed function file: leaf values must be finite")
-    return f
+    with _malformed("function"):
+        f = StepFunction(_depth(obj["depth"]), _floats(obj["leaf_values"], "leaf_values"))
+        # StepFunction takes NaN from Python callers; a file may not hold it
+        if not np.all(np.isfinite(f.values)):
+            raise ValueError("leaf values must be finite")
+        return f
 
 
 def save_function(f: StepFunction, path) -> None:
@@ -154,7 +206,7 @@ def shift_text(T: GeneralShift) -> str:
 
 def _key_numbers(keys: list) -> np.ndarray:
     """The (level, index) pairs of "level,index" node keys, as an (n, 2)
-    int64 array; a key outside the grammar is a TreeError."""
+    int64 array; a key outside the grammar is a ValueError."""
     out = np.empty((len(keys), 2), dtype=np.int64)
     for start in range(0, len(keys), _KEY_CHUNK):
         chunk = keys[start : start + _KEY_CHUNK]
@@ -162,46 +214,33 @@ def _key_numbers(keys: list) -> np.ndarray:
         # a key holding a ";" would pass the match as two keys
         if not _KEYS.fullmatch(text) or text.count(";") != len(chunk) - 1:
             bad = next(key for key in chunk if not _KEY.fullmatch(key))
-            raise TreeError(f"bad node key {bad!r}")
+            raise ValueError(f"bad node key {bad!r}")
         numbers = np.fromstring(text.replace(";", ","), dtype=np.int64, sep=",")
         out[start : start + len(chunk)] = numbers.reshape(-1, 2)
     return out
 
 
-def _alphas(values: list) -> np.ndarray:
-    """The float64 array of shift coefficients that are JSON numbers; a
-    string, a bool or any other value is a FormatError."""
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise FormatError(f"malformed shift file: alpha must be a number, got {bad!r}")
-    return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
-
-
 def shift_from_json(obj: dict, depth: int) -> GeneralShift:
-    try:
+    with _malformed("shift"):
         kind = obj["kind"]
         if kind == "petermichl":
             return petermichl(depth)
         if kind == "canonical":
-            m, n = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "mn")
-            s_sel, t_sel = (int_from_json(obj[k], k) for k in "st")
+            m, n = (_int(obj[k], k, 0, MAX_DEPTH) for k in "mn")
+            s_sel, t_sel = (_int(obj[k], k) for k in "st")
             alphas = obj.get("alphas", {})
             q = heap_positions(*_key_numbers(list(alphas.keys())).T, depth)
-            alpha = _alphas(list(alphas.values()))
+            alpha = _floats(list(alphas.values()), "alpha")
             return CanonicalShift.from_heap(depth, m, s_sel, n, t_sel, q, alpha)
         if kind == "general":
-            r, s = (int_from_json(obj[k], k, 0, MAX_DEPTH) for k in "rs")
+            r, s = (_int(obj[k], k, 0, MAX_DEPTH) for k in "rs")
             terms = obj.get("terms", [])
             q, r_pos, s_pos = (
                 heap_positions(*_key_numbers([t[k] for t in terms]).T, depth) for k in "QRS"
             )
-            alpha = _alphas([t["alpha"] for t in terms])
+            alpha = _floats([t["alpha"] for t in terms], "alpha")
             return GeneralShift.from_heap(depth, ShiftShape(r, s), q, r_pos, s_pos, alpha)
-        raise FormatError(f"unknown shift kind {kind!r}")
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ShiftError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"malformed shift file: {exc}") from exc
+        raise ValueError(f"unknown shift kind {kind!r}")
 
 
 def save_shift(T: GeneralShift, path) -> None:

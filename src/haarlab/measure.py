@@ -1,7 +1,8 @@
 """Positive measures on a dyadic tree, balance diagnostics, and generators.
 
 A measure is determined by strictly positive leaf masses; every node mass
-is the exact (floating point) sum of the leaf masses below it.
+is the exact (floating point) sum of the leaf masses below it.  Measure
+files are read and written by `haarlab.io`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import DyadicTree, Node, TreeError, aggregate_heap, depth_from_json
+from .tree import DyadicTree, Node, TreeError, aggregate_heap
 
 
 class MeasureError(ValueError):
@@ -117,30 +118,6 @@ class MeasureTree:
             bal_form_constant=float(np.max(form)),
             argmax_node=argmax,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "root": {
-                "origin": self.tree.root_origin,
-                "length": self.tree.root_length,
-            },
-            "depth": self.depth,
-            "leaf_masses": self.leaf_masses.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MeasureTree":
-        try:
-            root = obj.get("root", {})
-            tree = DyadicTree(
-                depth=depth_from_json(obj["depth"]),
-                root_origin=float(root.get("origin", 0.0)),
-                root_length=float(root.get("length", 1.0)),
-            )
-            masses = obj["leaf_masses"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise MeasureError(f"malformed measure file: {exc}") from exc
-        return cls(tree, masses)
 
 
 def from_split_fractions(

@@ -3,7 +3,9 @@
 Nodes are addressed heap-style: the node (k, j) lives at heap position
 2**k + j, so the root is position 1 and the leaves of a depth-D tree
 occupy positions 2**D .. 2**(D+1) - 1.  All per-node arrays in this
-package are heap-indexed with slot 0 unused.
+package are heap-indexed with slot 0 unused, and positions are int64, which
+bounds the depth by MAX_DEPTH.  Node keys and the other file fields are
+read by `haarlab.io`.
 """
 
 from __future__ import annotations
@@ -26,37 +28,9 @@ class Node(NamedTuple):
         return f"{self.level},{self.index}"
 
 
-# the "level,index" serialization of a node: ASCII digits only, at most 18
-# of them per number, so both numbers fit in int64
-NODE_KEY = "[0-9]{1,18},[0-9]{1,18}"
-
-
 # heap positions are int64, and the last node of a depth-62 tree sits at
 # 2**63 - 1
 MAX_DEPTH = 62
-
-
-def int_from_json(value, name: str, lo: int = 0, hi: int | None = None) -> int:
-    """An integer field of an input file: an int, or an integral float, in
-    lo .. hi (no upper end when hi is None).  Anything else, a bool
-    included, is a TreeError, never a silent truncation."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
-        raise TreeError(f"{name} must be an integer {span}, got {value!r}")
-    return value
-
-
-def depth_from_json(value) -> int:
-    """The depth field of a measure or function file: an integer in
-    1 .. MAX_DEPTH, so that 2**depth can be allocated."""
-    return int_from_json(value, "depth", 1, MAX_DEPTH)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ function, method and class it defines is referenced somewhere.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-definition checks.  `__init__.py` is exempt from the import check: its
-imports are the package's re-exports.
+imports are the package's re-exports.  One more check keeps the file
+formats in `io`: no other module defines JSON code, and only `io` and
+`cli` import a JSON library.
 """
 
 import ast
@@ -196,3 +198,56 @@ def test_no_unpassed_defaults():
         if p.parent != SRC
     ]
     assert unpassed_defaults(defining, others) == []
+
+
+# the one module that knows the file formats, and the modules that may
+# import a JSON library (cli writes its reports and manifests with json)
+FORMAT_OWNER = "io.py"
+JSON_IMPORTERS = ("io.py", "cli.py")
+
+
+def json_definitions(source: str) -> list[str]:
+    """Functions and methods, and module or class constants, whose name
+    contains "json"."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for node in scope.body:
+            targets = [*getattr(node, "targets", []), getattr(node, "target", None)]
+            found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.lineno))
+    return [f"{name} (line {line})" for name, line in sorted(found, key=lambda x: x[1])
+            if "json" in name.lower()]
+
+
+def json_imports(source: str) -> list[str]:
+    """Imports of json or orjson, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.module, node.lineno))
+    return [f"{name} (line {line})" for name, line in sorted(found, key=lambda x: x[1])
+            if name.split(".")[0] in ("json", "orjson")]
+
+
+def test_checker_flags_json_code():
+    source = "import json, os\nfrom orjson import loads\nNODE_JSON = 1\nclass A:\n" \
+        "    def to_json(self): pass\n    x_json: int = 2\n" \
+        "def f():\n    import orjson.x\n    local_json = 3\n"
+    assert json_definitions(source) == [
+        "NODE_JSON (line 3)", "to_json (line 5)", "x_json (line 6)",
+    ]
+    assert json_imports(source) == ["json (line 1)", "orjson (line 2)", "orjson.x (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_io_knows_file_formats(path):
+    source = path.read_text()
+    if path.name != FORMAT_OWNER:
+        assert json_definitions(source) == []
+    if path.name not in JSON_IMPORTERS:
+        assert json_imports(source) == []

@@ -15,7 +15,7 @@ from haarlab import io as hio
 from haarlab.atomic import atb_upper_bound
 from haarlab.cli import build_parser, main
 from haarlab.martingale import StepFunction, haar_function
-from haarlab.measure import GENERATORS, MeasureError, MeasureTree, generate, random_doubling
+from haarlab.measure import GENERATORS, MeasureTree, generate, random_doubling
 from haarlab.norms import (
     bmo_martingale,
     bmo_oscillation,
@@ -361,6 +361,20 @@ def test_readers_match_stdlib_json_bit_for_bit(tmp_path_factory, values, masses)
     )
 
 
+def _measure_dict(mu):
+    """A measure file's dict form, as `MeasureTree.to_json` built it before
+    the format moved to `haarlab.io`: json.dumps of it is the byte
+    reference of `save_measure`."""
+    return {
+        "root": {
+            "origin": mu.tree.root_origin,
+            "length": mu.tree.root_length,
+        },
+        "depth": mu.depth,
+        "leaf_masses": mu.leaf_masses.tolist(),
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(FINITE_BITS, min_size=8, max_size=8),
@@ -374,7 +388,7 @@ def test_writers_match_stdlib_json_bytes(tmp_path_factory, values, masses):
     assert path.read_bytes() == expected.encode()
     mu = MeasureTree(DyadicTree(3), _floats(masses))
     hio.save_measure(mu, path)
-    assert path.read_bytes() == (json.dumps(mu.to_json()) + "\n").encode()
+    assert path.read_bytes() == (json.dumps(_measure_dict(mu)) + "\n").encode()
 
 
 # where repr switches between positional and exponent notation, and the
@@ -399,7 +413,7 @@ def test_writers_match_stdlib_json_at_edges(tmp_path):
     masses = EDGE_VALUES[:5] + [1.0, 2.0, 3.0]
     mu = MeasureTree(DyadicTree(3, root_origin=-0.5, root_length=1e16), masses)
     hio.save_measure(mu, path)
-    assert path.read_text() == json.dumps(mu.to_json()) + "\n"
+    assert path.read_text() == json.dumps(_measure_dict(mu)) + "\n"
     assert np.array_equal(hio.load_measure(path).leaf_masses, mu.leaf_masses)
 
 
@@ -425,10 +439,48 @@ def test_bad_depth_is_a_format_error(tmp_path, depth):
     path.write_text(json.dumps({"depth": depth, "leaf_values": [1.0] * 8}))
     with pytest.raises(hio.FormatError):
         hio.load_function(path)
-    with pytest.raises(MeasureError):
-        MeasureTree.from_json({"depth": depth, "leaf_masses": [1.0] * 8})
+    with pytest.raises(hio.FormatError):
+        hio.measure_from_json({"depth": depth, "leaf_masses": [1.0] * 8})
     with pytest.raises(hio.FormatError):
         hio.function_from_json({"depth": depth, "leaf_values": [1.0] * 8})
+
+
+# leaf entries that are not JSON numbers: the strings and bools used to load
+# as numbers, null as NaN, and a nested list crashed `load_measure` with a
+# bare ValueError
+BAD_NUMBERS = [" 0.5", True, "1e-1", None, [0.5]]
+# root geometry that is not a JSON number; each used to load
+BAD_ROOTS = [{"origin": "0"}, {"length": True}]
+
+
+def _bad_leaf_files(tmp_path, bad):
+    """A measure and a function file of depth 3 whose third leaf entry is `bad`."""
+    leaves = [1.0, 2.0, bad, 4.0, 1.0, 2.0, 3.0, 4.0]
+    mu_path, f_path = tmp_path / "bad_mu.json", tmp_path / "bad_f.json"
+    mu_path.write_text(json.dumps({"depth": 3, "leaf_masses": leaves}))
+    f_path.write_text(json.dumps({"depth": 3, "leaf_values": leaves}))
+    return mu_path, f_path
+
+
+def _bad_root_file(tmp_path, root):
+    path = tmp_path / "bad_root.json"
+    path.write_text(json.dumps({"root": root, "depth": 3, "leaf_masses": [1.0] * 8}))
+    return path
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+def test_non_number_leaf_entries_are_format_errors(tmp_path, bad):
+    mu_path, f_path = _bad_leaf_files(tmp_path, bad)
+    with pytest.raises(hio.FormatError, match="leaf_masses: expected a number"):
+        hio.load_measure(mu_path)
+    with pytest.raises(hio.FormatError, match="leaf_values: expected a number"):
+        hio.load_function(f_path)
+
+
+@pytest.mark.parametrize("root", BAD_ROOTS, ids=repr)
+def test_non_number_root_is_a_format_error(tmp_path, root):
+    with pytest.raises(hio.FormatError, match=r"root\.(origin|length): expected a number"):
+        hio.load_measure(_bad_root_file(tmp_path, root))
 
 
 def test_integral_float_depth_loads(tmp_path):
@@ -719,6 +771,53 @@ def test_cli_bad_depth_exits_2(tmp_path, capsys):
     assert main(
         ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", "bmo"]
     ) == 0
+
+
+def test_cli_non_number_fields_exit_2(tmp_path, capsys):
+    mu_path = _gen_measure(tmp_path, depth=3)
+    f_path = _save_function(tmp_path, mu_path)
+    shift_path = tmp_path / "T.json"
+    shift_path.write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    out = tmp_path / "Tf.json"
+    bad_mus, bad_fs = [], []
+    for i, bad in enumerate(BAD_NUMBERS):
+        (tmp_path / f"leaf{i}").mkdir()
+        bad_mu, bad_f = _bad_leaf_files(tmp_path / f"leaf{i}", bad)
+        bad_mus.append(bad_mu)
+        bad_fs.append(bad_f)
+    for i, root in enumerate(BAD_ROOTS):
+        (tmp_path / f"root{i}").mkdir()
+        bad_mus.append(_bad_root_file(tmp_path / f"root{i}", root))
+    capsys.readouterr()
+    apply = ["apply", "--shift", str(shift_path), "--out", str(out)]
+    for bad in bad_mus:
+        assert main(["measure", "inspect", str(bad)]) == 2, bad.read_text()
+        assert main(
+            ["norm", "--function", str(f_path), "--measure", str(bad), "--norm", "bmo"]
+        ) == 2
+        assert main(apply + ["--function", str(f_path), "--measure", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(
+            line.startswith("error: malformed measure file: ") for line in err
+        )
+    for bad in bad_fs:
+        assert main(
+            ["norm", "--function", str(bad), "--measure", str(mu_path), "--norm", "bmo"]
+        ) == 2, bad.read_text()
+        assert main(apply + ["--function", str(bad), "--measure", str(mu_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(
+            line.startswith("error: malformed function file: ") for line in err
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [60, 63])
+def test_cli_measure_gen_too_deep_to_allocate_exits_2(capsys, depth):
+    # numpy refuses these sizes before allocating; depths 35-59 are never
+    # tried here, since there it may attempt a real multi-GB allocation
+    assert main(["measure", "gen", "--kind", "lebesgue", "--depth", str(depth)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid measure spec: ")
 
 
 def test_cli_bad_shift_files_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from haarlab import io as hio
 from haarlab.martingale import StepFunction, analyze, synthesize
 
 from haarlab.measure import (
@@ -201,8 +202,10 @@ def test_balance_sandwich_spot():
 
 def test_json_roundtrip():
     mu = random_doubling(4, seed=1)
-    again = MeasureTree.from_json(mu.to_json())
+    root = {"origin": mu.tree.root_origin, "length": mu.tree.root_length}
+    obj = {"root": root, "depth": mu.depth, "leaf_masses": mu.leaf_masses.tolist()}
+    again = hio.measure_from_json(obj)
     assert again.depth == mu.depth
     assert np.array_equal(again.leaf_masses, mu.leaf_masses)
-    with pytest.raises(MeasureError):
-        MeasureTree.from_json({"depth": 3})
+    with pytest.raises(hio.FormatError):
+        hio.measure_from_json({"depth": 3})
