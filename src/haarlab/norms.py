@@ -8,11 +8,12 @@ row of a (P, 2**depth) array, see `martingale`); the one-function forms
 (`lp_norm`, `bmo_martingale`, ...) evaluate a one-row batch.
 
 BMO and Lambda_q(alpha) also have a cheap certified upper bound per row
-(`bmo_upper_rows`, `lambda_upper_rows`): a bound on the value the kernel
-*computes*, rounding included.  A caller that only needs the maximum over
-many rows may skip every row whose bound lies below a value already
-attained (`contending_ratios`); such a row provably cannot raise the
-maximum.
+(`bmo_upper_rows`, `lambda_upper_rows`), taken on the Haar coefficients of
+a mean-zero image rather than on its leaf values: a bound on the value the
+kernel *computes* on the synthesized image, rounding included.  A caller
+that only needs the maximum over many images may skip every one whose
+bound lies below a value already attained, and never synthesize it
+(`contending_ratios`); such an image provably cannot raise the maximum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .martingale import (
     average_rows,
     haar_constant,
     square_function_rows,
+    synthesize_rows,
 )
 from .measure import MeasureTree
 from . import tree as _tree
@@ -222,108 +224,148 @@ def h1_norm(f: StepFunction, mu: MeasureTree) -> float:
 
 # --- certified upper bounds on the computed suprema -----------------------
 
-# Range guard of `_deviation_bound`: the quantities it checks must lie in
-# [_LOW, _HIGH], well inside the normal range of float64.
+# Range guard of `_path_bound`: the quantities it checks must stay at or
+# below _HIGH, and Lambda's mass factors within [_LOW, _HIGH], well inside
+# the normal range of float64.
 _LOW, _HIGH = 2.0**-1000, 2.0**1000
 # slack for the rounding of the kernels' sums, powers, products and
 # divisions, and for a level value that ends below the normal range
 _REL_SLACK, _ABS_SLACK = 1e-9, 2.0**-1022
 
 
-def _leaf_ranges(F: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heaps (..., 2**depth) of the largest and the smallest leaf value of
-    every row of F under every internal node (slot 0 unused).  Halving
-    takes maxima and minima only, so no value is rounded; a NaN leaf makes
-    every range above it NaN."""
-    hi, lo = np.empty(F.shape), np.empty(F.shape)
-    top = bottom = F
-    for k in range(depth - 1, -1, -1):
-        top = np.maximum(top[..., 0::2], top[..., 1::2], out=hi[..., 1 << k : 2 << k])
-        bottom = np.minimum(bottom[..., 0::2], bottom[..., 1::2], out=lo[..., 1 << k : 2 << k])
-    return hi, lo
-
-
-def _deviation_bound(
-    F: np.ndarray, mu: MeasureTree, q: float, weight: float | np.ndarray
+def _path_bound(
+    B: np.ndarray, mu: MeasureTree, q: float, weight: float | np.ndarray
 ) -> np.ndarray:
-    """Per row g of F, an upper bound on the value `bmo_rows` (q = 1,
-    weight 1) or `lambda_rows` (weight_P = min(mu(P-), mu(P+))^-alpha over
-    the internal nodes P) *computes* for g: max_P dev_P weight_P with slack,
-    0 where every dev_P is 0, and not finite where it cannot be certified.
+    """Per row b of the coefficient heaps B (..., 2**depth; slot 0 is not
+    read), an upper bound on the value `bmo_rows` (q = 1, weight 1) or
+    `lambda_rows` (weight_P = min(mu(P-), mu(P+))^-alpha over the internal
+    nodes P) *computes* for the image g = synthesize_rows(0.0, b, mu).  The
+    contract is mean 0: for another mean the bound proves nothing.  A zero
+    row gets 0; a row that cannot be certified, one with a NaN or an inf
+    coefficient included, gets a bound that is not finite.
 
-    Proof.  Let c_P be the computed average of g over the internal node P:
-    the heap `average_rows` gives the kernels, bit for bit.  On a node Q of
-    level k both kernels take the leafwise deviations d_x = |fl(g_x - c_P)|,
-    x under Q, from the average over the parent P of Q (the root is its own
-    parent at level 0).  With hi_P and lo_P the largest and smallest g_x
-    under P, monotone rounding gives, with no slack,
+    U is the max-plus path sum of the coefficients, taken bottom-up in one
+    pass: U = 0 at the leaves and U(S) = max over the children J of S of
+    |b_S| c_S / m_J + U(J), with c_S = `haar_constant_heap` and m the mass
+    heap.  U never decreases toward the root, so U(root) is its maximum.
+    With W = max_P weight_P, e = 64 (D + 1) 2^-53 at depth D, and
+    A = (2D + 3) max(t, t^(1/q)), t = 2^-1070 / min(1, smallest leaf mass),
+    the bound is
 
-        d_x <= dev_P = max(fl(hi_P - c_P), fl(c_P - lo_P)).
+        (max_P U(P) weight_P + (e U(root) + A) W)(1 + 1e-9) + 2^-1022.
 
-    Lambda's level value at Q is fl(fl(S_Q^(1/q)) fl(m_Q^(-1/q-alpha))),
-    where S_Q is the pairwise sum of fl(fl(d_x^q) m_x) over x under Q and
-    m_Q the pairwise-summed mass heap; BMO's is fl(S_Q / m_Q) with q = 1
-    below the leaves and d_x itself at them.  While every product stays
-    normal, each power, product, sum and division has a relative error of
-    a few units of 2^-53, so S_Q <= dev_P^q (sum of m_x)(1 + e) and
-    m_Q >= (sum of m_x)(1 - e), with e of order depth * 2^-53.  Hence the
-    level value is at most dev_P m_Q^-alpha (1 + e), and m_Q^-alpha <=
-    weight_P because m_Q is a child mass of P, or the root mass, which is
-    at least each child mass.  A level value below the normal range may
-    round up by 2^-1074: _ABS_SLACK covers it.  The kernel returns the
-    largest level value or 0, so the bound holds with the relative slack
-    1e-9, which dominates e at any depth that fits in memory.
+    Proof.  Write u = 2^-53, and M_Q for the exact sum of the leaf masses
+    m_x under Q, which the pairwise-summed m_Q matches to a relative Du.
+    (1) Exact image.  Let G_x = sum over the nodes S above x of
+    +-b_S c_S / m_J, J the child of S holding x: the synthesis without
+    rounding.  For x under an internal node P, G_x - G_P sums the terms of
+    the nodes S under P, where G_P sums those above P, so
+    |G_x - G_P| <= U(P); the mean is 0, so |G_x| <= U(root).
+    (2) Synthesis rounding.  A term fl(fl(b_S c_S) / m_J) is b_S c_S / m_J
+    to a relative 2u, plus, where the product or the quotient lands below
+    the normal range, an absolute 2^-1075 / m_J + 2^-1075 <= t / 16; the
+    running sum rounds each term at most D times.  Along a path the terms
+    sum to at most U(root), so |g_x - G_x| <= (D + 3)u U(root) + D t / 16.
+    (3) Computed averages.  The kernels read c_P = fl(fl(sum fl(g_y m_y))
+    / m_P) from `average_rows`.  The products, the pairwise sum and the
+    division put c_P within (2D + 3)u max|g| + n_P 2^-1075 / m_P + 2^-1075
+    of <g>_P = sum g_y m_y / M_P.  The middle term is the products g_y m_y
+    that underflow: at masses near 1e-300 it is not small against a small
+    g, and n_P / m_P <= (1 + Du) / min leaf mass bounds it by t / 16.
+    Exactly, <G>_P - G_P = sum over S under P of b_S c_S (M_S- / m_S- -
+    M_S+ / m_S+) / M_P, and |b_S| c_S is |b_S| c_S / m_J times m_J for
+    either child J, so this is at most 2Du U(P).
+    (4) Deviations.  Both kernels take d_x = |fl(g_x - c_P)| for x under a
+    child Q of P (the root is its own parent at level 0).  By (1)-(3),
+    d_x <= Delta_P = (1 + u)(U(P)(1 + 2Du) + (4D + 7)u U(root) + (2D + 1) t / 16).
+    (5) Level values.  BMO's leaf level reads d_x itself.  Elsewhere the
+    kernels sum fl(fl(d_x^q) m_x) pairwise over x under Q into S_Q; a power
+    or product below the normal range rounds by at most 2^-1074, so
+    S_Q <= (Delta_P^q M_Q + n_Q 2^-1073)(1 + (D + 3)u).  BMO reads
+    fl(S_Q / m_Q), Lambda fl(fl(S_Q^(1/q)) fl(m_Q^(-1/q-alpha))); the q-th
+    root is subadditive, so a level value is at most
+    (Delta_P + (t / 4)^(1/q)) m_Q^-alpha (1 + (2D + 8)u) + 2^-1075, and
+    m_Q^-alpha <= weight_P because m_Q is a child mass of P, or the root
+    mass, which is at least each child mass.
+    (6) U as computed.  It takes fl(|b_S| fl(c_S / m_J)) and sums: with the
+    quotients c_S / m_J normal, U(P) <= U~(P)(1 + 3Du) + D t / 32.
+    The kernel returns the largest level value or 0.  By (4)-(6) every
+    level value is at most (U~(P)(1 + 6Du) weight_P + ((4D + 8)u U~(root)
+    + D t / 2 + (t / 4)^(1/q)) W)(1 + (2D + 9)u) + 2^-1075, and the
+    bound's e, A, 1e-9 and 2^-1022 dominate each term at any depth that
+    fits in memory.
 
-    The error model needs the intermediates in the normal range.  Rows
-    that fail one of these checks get +inf, so callers evaluate them:
-    - min over dev_P > 0 of dev_P^q min(1, min m_x) >= 2^-1000: then
-      dev_P^q and every dev_P^q m_x are normal, and a power or product
-      for a smaller d_x that underflows rounds by at most 2^-1074, which
-      is negligible against them (where dev_P = 0, every d_x under P is
-      exactly 0);
-    - max dev_P^q max(1, mu(root)) <= 2^1000: no power, product or sum
-      overflows.
-    A level value cannot overflow where the slackened bound is finite: it
-    lies below that bound.  Lambda's mass factors m_Q^(-1/q-alpha) must be
-    normal too; where they leave [2^-1000, 2^1000], the caller passes
-    weight = +inf, which leaves only the zero rows finite.  A NaN or an
-    inf in g makes dev, and so the bound, NaN or inf.
+    Guard.  The error model needs no overflow, and it needs the quotients
+    c_S / m_J normal.  Every |b_S| c_S / m_J, |g_x|, |c_P| and d_x is at
+    most D~ = (U~(root)(1 + e) + A)(1 + 1e-9), a per-row scalar; rows with
+    max(D~, D~^q) max(1, mu(root)) > 2^1000 could overflow a product
+    b_S c_S, g_y m_y, d_x^q m_x or a sum of them, and get +inf.  A level
+    value cannot overflow where the bound is finite: it lies below it.
+    Lambda's mass factors m_Q^(-1/q-alpha) must be normal too; where they
+    leave [2^-1000, 2^1000], the caller passes weight = +inf, and where a
+    quotient c_S / m_J is below the normal range the bound sets weight =
+    +inf itself: then only the zero rows stay finite.  A NaN or an inf
+    coefficient makes U(root), and so the bound, NaN or inf.
     """
-    n = 1 << mu.depth
+    depth, n, lead = mu.depth, 1 << mu.depth, B.shape[:-1]
+    c, mass, half = mu.haar_constant_heap, mu.mass_heap, n >> 1
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        avg = average_rows(F, mu)[..., 1:n]
-        hi, lo = (heap[..., 1:] for heap in _leaf_ranges(F, mu.depth))
-        # in place: fresh megabyte temporaries cost page faults on every call
-        dev = np.maximum(np.subtract(hi, avg, out=hi), np.subtract(avg, lo, out=lo), out=hi)
-        bound = np.max(np.multiply(dev, weight, out=lo), axis=-1)
-        big = np.max(dev, axis=-1)
-        small = np.min(dev, axis=-1, initial=np.inf, where=dev > 0.0)
-        ok = (small**q * min(1.0, mu.leaf_masses.min()) >= _LOW) & (
-            big**q * max(1.0, mu.total_mass) <= _HIGH
-        )
-        certified = np.where(ok, bound * (1.0 + _REL_SLACK) + _ABS_SLACK, np.inf)
-        return np.where(big == 0.0, 0.0, certified)
+        # slot p of each: c_p / m_2p and c_p / m_2p+1, over internal nodes p
+        left, right = c / mass[0 : 2 * n : 2], c / mass[1 : 2 * n : 2]
+        if not min(left[1:].min(), right[1:].min()) >= 2.0**-1022:
+            weight = np.inf
+        # one pass, in place: U[..., p] holds |b_p| until level(p) is done
+        U = np.abs(B)
+        U[..., half:] *= c[half:] / mu.min_child_heap[half:]
+        via_left, via_right = np.empty(lead + (half >> 1,)), np.empty(lead + (half >> 1,))
+        lo = half
+        while lo > 1:
+            lo >>= 1
+            b, vl, vr = U[..., lo : 2 * lo], via_left[..., :lo], via_right[..., :lo]
+            kids = U[..., 2 * lo : 4 * lo]
+            np.add(np.multiply(b, left[lo : 2 * lo], out=vl), kids[..., 0::2], out=vl)
+            np.add(np.multiply(b, right[lo : 2 * lo], out=vr), kids[..., 1::2], out=vr)
+            np.maximum(vl, vr, out=b)
+        root = U[..., 1].copy()
+        if np.ndim(weight):
+            top = np.max(np.multiply(U[..., 1:], weight, out=U[..., 1:]), axis=-1)
+            w_max = weight.max()
+        else:
+            top, w_max = root * weight, weight
+        e = 64 * (depth + 1) * 2.0**-53
+        t = 2.0**-1070 / min(1.0, mu.leaf_masses.min())
+        a = (2 * depth + 3) * max(t, t ** (1.0 / q))
+        reach = (root * (1.0 + e) + a) * (1.0 + _REL_SLACK)
+        ok = np.maximum(reach, reach**q) * max(1.0, mu.total_mass) <= _HIGH
+        bound = (top + (e * root + a) * w_max) * (1.0 + _REL_SLACK) + _ABS_SLACK
+        bound = np.where(ok, bound, np.inf)
+    zero = np.asarray(root == 0.0)
+    if zero.any():  # U(root) is 0 on a zero row, but may underflow to it
+        zero[zero] = ~B[zero][..., 1:].any(axis=-1)
+    return np.where(zero, 0.0, bound)
 
 
-def bmo_upper_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
-    """A certified upper bound on `bmo_rows(F, mu)`, row by row: max over
-    internal nodes P of the largest |g_x - <g>_P| under P (see
-    `_deviation_bound`); not finite where it cannot be certified."""
-    return _deviation_bound(F, mu, 1.0, 1.0)
+def bmo_upper_rows(B: np.ndarray, mu: MeasureTree) -> np.ndarray:
+    """A certified upper bound on `bmo_rows(synthesize_rows(0.0, B, mu),
+    mu)`, row by row of the coefficient heaps B: the largest path sum
+    U(root) of |b_S| c_S / mu(child) with slack (see `_path_bound`); not
+    finite where it cannot be certified."""
+    return _path_bound(B, mu, 1.0, 1.0)
 
 
-def lambda_upper_rows(F: np.ndarray, mu: MeasureTree, q: float, alpha: float) -> np.ndarray:
-    """A certified upper bound on the values of `lambda_rows(F, mu, q,
-    alpha)`, row by row: max over internal nodes P of the largest
-    |g_x - <g>_P| under P times min(mu(P-), mu(P+))^-alpha (see
-    `_deviation_bound`); not finite where it cannot be certified."""
+def lambda_upper_rows(B: np.ndarray, mu: MeasureTree, q: float, alpha: float) -> np.ndarray:
+    """A certified upper bound on the values of `lambda_rows(
+    synthesize_rows(0.0, B, mu), mu, q, alpha)`, row by row of the
+    coefficient heaps B: max over internal nodes P of the path sum U(P)
+    times min(mu(P-), mu(P+))^-alpha, with slack (see `_path_bound`); not
+    finite where it cannot be certified."""
     _check_lambda(q, alpha)
     with np.errstate(over="ignore", under="ignore"):
         factors = mu.mass_heap[1:] ** (-1.0 / q - alpha)
         weight = mu.min_child_heap[1:] ** -alpha
     if not (factors.min() >= _LOW and factors.max() <= _HIGH):
         weight = np.inf
-    return _deviation_bound(F, mu, q, weight)
+    return _path_bound(B, mu, q, weight)
 
 
 # slack added to the right-hand side of the sibling lemma, for rounding
@@ -363,9 +405,10 @@ class NormEntry:
     """How a named norm is evaluated on the rows of a (P, 2**depth) array:
     `rows(F, mu, **params)` returns the P values and, for a norm with witness
     nodes, the arrays of their levels and indices, else None; `params` names
-    the `NormSpec` fields it reads, in label order.  `upper(F, mu, **params)`,
-    where given, returns a certified upper bound on each of the P values
-    `rows` computes (not finite where it certifies nothing)."""
+    the `NormSpec` fields it reads, in label order.  `upper(B, mu, **params)`,
+    where given, takes P coefficient heaps B and returns a certified upper
+    bound on each of the P values `rows` computes on the images
+    `synthesize_rows(0.0, B, mu)` (not finite where it certifies nothing)."""
 
     rows: Callable[..., tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
     params: tuple[str, ...] = ()
@@ -408,13 +451,14 @@ class NormSpec:
         params = self.params()  # raises NormError for an unknown name
         return NORMS[self.name].rows(F, mu, **params)[0]
 
-    def upper_rows(self, F: np.ndarray, mu: MeasureTree) -> np.ndarray | None:
-        """A certified upper bound on what `evaluate_rows` computes for every
-        row, or None where the norm has no bound.  A row whose bound lies
+    def upper_rows(self, B: np.ndarray, mu: MeasureTree) -> np.ndarray | None:
+        """A certified upper bound on what `evaluate_rows` computes for the
+        image `synthesize_rows(0.0, b, mu)` of every row b of the coefficient
+        heaps B, or None where the norm has no bound.  A row whose bound lies
         below a value already attained cannot attain or exceed it."""
         params = self.params()
         upper = NORMS[self.name].upper
-        return None if upper is None else upper(F, mu, **params)
+        return None if upper is None else upper(B, mu, **params)
 
     def evaluate(self, f: StepFunction, mu: MeasureTree) -> NormValue:
         """The norm's value, with a witness node where the norm has one: the
@@ -433,31 +477,39 @@ class NormSpec:
 
 
 def contending_ratios(
-    target: NormSpec, images: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
+    target: NormSpec, coeffs: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
 ) -> np.ndarray:
-    """target(image) / denom for every row that can still beat the running
-    maximum `bar`, and -inf for every other row; every denominator is
-    finite and positive.  The theorem suites and `opnorm_lower_bound`'s node
-    probes skip rows by this one rule.
+    """target(g) / denom for every image g = synthesize_rows(0.0, b, mu) of
+    a row b of the coefficient heaps `coeffs` that can still beat the
+    running maximum `bar`, and -inf for every other row; every denominator
+    is finite and positive.  The theorem suites and `opnorm_lower_bound`'s
+    node probes skip rows by this one rule.
 
-    Where the target has a certified upper bound (`NormSpec.upper_rows`),
-    the row with the largest finite bound ratio is evaluated first and may
-    raise the bar; then, in one batch, every row whose bound ratio is not
-    below the bar.  Rounding is monotone, so a skipped row's ratio is at
+    Where the target has a certified upper bound (`NormSpec.upper_rows`,
+    taken on the coefficients), the row with the largest finite bound ratio
+    is synthesized and evaluated first and may raise the bar; then, in one
+    batch, every row whose bound ratio is not below the bar.  No other row
+    is synthesized.  Rounding is monotone, so a skipped row's ratio is at
     most its bound ratio, which lies strictly below a ratio already
     attained: each skipped row is certified neither to raise the maximum
-    nor to tie it.  A target without a bound has every row evaluated."""
-    upper = target.upper_rows(images, mu)
-    bounds = np.full(len(images), np.inf) if upper is None else upper / denoms
-    ratios = np.full(len(images), -np.inf)
-    done = np.zeros(len(images), dtype=bool)
+    nor to tie it.  A target without a bound has every row synthesized and
+    evaluated."""
+    upper = target.upper_rows(coeffs, mu)
+    bounds = np.full(len(coeffs), np.inf) if upper is None else upper / denoms
+    ratios = np.full(len(coeffs), -np.inf)
+
+    def evaluate(rows) -> np.ndarray:
+        images = synthesize_rows(0.0, coeffs[rows], mu)
+        return target.evaluate_rows(images, mu) / denoms[rows]
+
+    done = np.zeros(len(coeffs), dtype=bool)
     finite = np.isfinite(bounds)
     if finite.any():
         lead = first_max(np.where(finite, bounds, -np.inf))
-        ratios[lead] = target.evaluate_rows(images[lead : lead + 1], mu)[0] / denoms[lead]
+        ratios[lead] = evaluate(slice(lead, lead + 1))[0]
         bar = max(bar, ratios[lead])  # a NaN ratio leaves the bar as it is
         done[lead] = True
     todo = ~(bounds < bar) & ~done
     if todo.any():
-        ratios[todo] = target.evaluate_rows(images[todo], mu) / denoms[todo]
+        ratios[todo] = evaluate(todo)
     return ratios

@@ -107,18 +107,19 @@ def _ratio_rows(
 ) -> np.ndarray:
     """to_norm(T f) / from_norm(f) for every row f of a (P, 2**depth) array
     F; -inf where the denominator is 0 or not finite.  Given a running
-    maximum `bar`, only the rows that can still reach it are evaluated
-    (`norms.contending_ratios`), and the others read -inf too."""
+    maximum `bar`, the shifted coefficients go to `norms.contending_ratios`:
+    only the images that can still reach the bar are synthesized and
+    evaluated, and the others read -inf too."""
     denoms = from_norm.evaluate_rows(F, mu)
     ok = np.flatnonzero((denoms != 0.0) & np.isfinite(denoms))
     out = np.full(len(F), -np.inf)
     if ok.size:
         _, coeffs = analyze_rows(F[ok], mu)
-        images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
+        shifted = T.apply_rows(coeffs)
         if bar is None:
-            out[ok] = to_norm.evaluate_rows(images, mu) / denoms[ok]
+            out[ok] = to_norm.evaluate_rows(synthesize_rows(0.0, shifted, mu), mu) / denoms[ok]
         else:
-            out[ok] = contending_ratios(to_norm, images, mu, denoms[ok], bar)
+            out[ok] = contending_ratios(to_norm, shifted, mu, denoms[ok], bar)
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
-from .martingale import analyze_rows, first_max, haar_function, row_chunks, synthesize_rows
+from .martingale import analyze_rows, first_max, haar_function, row_chunks
 from .measure import MeasureTree, generate
 from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
 from .opnorm import node_probe_rows
@@ -199,9 +199,11 @@ def _suite_maxima(
     """Max ratio per shift of target(T f) / denom over the rows f of
     `inputs`, skipping denominators that are not finite and positive; -inf
     where none is.  Chunk by chunk, the spectra are shared across shifts,
-    and the target is evaluated only on the images that can still beat the
-    running maximum (`norms.contending_ratios`): every skipped image is
-    certified not to raise it, so the maxima are those of evaluating all.
+    and each shift's coefficients go to `norms.contending_ratios`, which
+    bounds every image from its coefficients and synthesizes and evaluates
+    only the images that can still beat the running maximum: every skipped
+    image is certified not to raise it, so the maxima are those of
+    evaluating all.
 
     A shift's running maximum depends on no other shift, so the shifts are
     split over one worker per usable CPU (at most one per shift).  The
@@ -217,8 +219,8 @@ def _suite_maxima(
             picked = rows[chunk]
             _, coeffs = analyze_rows(inputs[picked], mu)
             for shift_name in share:
-                images = synthesize_rows(0.0, battery[shift_name].apply_rows(coeffs), mu)
-                ratios = contending_ratios(target, images, mu, denoms[picked], best[shift_name])
+                shifted = battery[shift_name].apply_rows(coeffs)
+                ratios = contending_ratios(target, shifted, mu, denoms[picked], best[shift_name])
                 i = first_max(ratios)
                 if ratios[i] > best[shift_name]:
                     best[shift_name] = float(ratios[i])

@@ -58,9 +58,11 @@ def check_basis(depth: int, trials: int, seed: int) -> list[CheckResult]:
         if grams_done < gram_budget:
             H = haar_basis_matrix(mu)
             gram = (H * mu.leaf_masses) @ H.T
-            worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(n - 1)))))
+            gram.flat[::n] -= 1.0  # the diagonal of the (n - 1) x (n - 1) Gram matrix
+            worst_gram = max(worst_gram, float(np.max(np.abs(gram, out=gram))))
             means = H @ mu.leaf_masses
-            scale = np.max(np.abs(H), axis=1) * mu.total_mass
+            # sup |h_I| = c_I / m(I), the row maxima of |H|, bit for bit
+            scale = mu.haar_constant_heap[1:] / mu.min_child_heap[1:] * mu.total_mass
             worst_mean = max(worst_mean, float(np.max(np.abs(means) / scale)))
             grams_done += 1
         f = StepFunction(mu.depth, rng.standard_normal(n))

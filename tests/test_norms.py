@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import verify
-from haarlab.martingale import StepFunction, average_heap, haar_function, square_function
+from haarlab import norms, verify
+from haarlab.martingale import (
+    StepFunction,
+    average_heap,
+    haar_function,
+    square_function,
+    synthesize_rows,
+)
 from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import (
     NORMS,
@@ -272,9 +278,10 @@ BOUNDED_NORMS = [NormSpec("bmo")] + [
 @settings(max_examples=150, deadline=None)
 @given(depth=st.integers(1, 8), data=st.data())
 def test_upper_bounds_dominate_computed_norms(depth, data):
-    """On every row it certifies, `upper_rows` bounds the value that
-    `evaluate_rows` computes, with masses down to 1e-300 and values from
-    1e-160 to 1e150; a zero row gets 0, a NaN or inf row no finite bound."""
+    """On every row of coefficient heaps B it certifies, `upper_rows` bounds
+    the value that `evaluate_rows` computes on `synthesize_rows(0.0, B)`,
+    with masses down to 1e-300 and coefficients from 1e-160 to 1e150; a zero
+    row gets 0, a NaN or inf row no finite bound."""
     n = 1 << depth
     mass_exps = data.draw(arrays(np.float64, n, elements=st.floats(-300.0, 0.0)))
     mu = MeasureTree(DyadicTree(depth), 10.0**mass_exps)
@@ -282,44 +289,91 @@ def test_upper_bounds_dominate_computed_norms(depth, data):
     uniform = data.draw(arrays(np.float64, (2, n), elements=st.floats(-1.0, 1.0)))
     value_exps = data.draw(arrays(np.float64, n, elements=st.floats(-160.0, 150.0)))
     signs = data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
-    F = np.vstack([
+    node = data.draw(st.integers(1, n - 1))
+    B = np.vstack([
         uniform * scale,
         signs * 10.0**value_exps,  # magnitudes spread over the whole range
-        np.full(n, scale),  # constant
-        np.repeat(uniform[0, ::2], 2) * scale,  # equal sibling leaves
+        np.where(np.arange(n) == node, scale, 0.0),  # one Haar function
+        np.where(np.arange(n) == 1, scale, uniform[0] * 1e-12 * scale),  # a large root term
         np.zeros(n),
-        np.where(np.arange(n) == 0, np.nan, scale),
-        np.where(np.arange(n) == n - 1, -np.inf, scale),
+        np.where(np.arange(n) == n - 1, np.nan, scale),
+        np.where(np.arange(n) == 1, -np.inf, scale),
     ])
+    B[:, 0] = 0.0
+    with np.errstate(all="ignore"):
+        images = synthesize_rows(0.0, B, mu)
     for spec in BOUNDED_NORMS:
         with np.errstate(all="ignore"):
-            values = spec.evaluate_rows(F, mu)
-            bound = spec.upper_rows(F, mu)
+            values = spec.evaluate_rows(images, mu)
+            bound = spec.upper_rows(B, mu)
         certified = np.isfinite(bound)
         assert np.all(values[certified] <= bound[certified]), spec
         assert bound[-3] == 0.0
         assert not certified[-2:].any()
-    assert NormSpec("h1").upper_rows(F[:1], mu) is None
-    assert NormSpec("lp", p=1.0).upper_rows(F[:1], mu) is None
+    assert NormSpec("h1").upper_rows(B[:1], mu) is None
+    assert NormSpec("lp", p=1.0).upper_rows(B[:1], mu) is None
 
 
 def test_upper_bounds_admit_ordinary_rows():
     """At ordinary magnitudes every row is certified, and the bound is the
-    largest deviation from a parent average (times the mass weight for
-    Lambda), so it is tight on a Haar function's leaves."""
+    largest path sum of |b_S| c_S / mu(child) (times the mass weight for
+    Lambda), so it is tight on a Haar function: B = e_I."""
     for kind in GENERATORS:
         mu = generate(kind, 6, seed=1)
-        F = np.random.default_rng(1).standard_normal((5, 64))
+        B = np.random.default_rng(1).standard_normal((5, 64))
+        images = synthesize_rows(0.0, B, mu)
         for spec in BOUNDED_NORMS:
-            bound = spec.upper_rows(F, mu)
+            bound = spec.upper_rows(B, mu)
             assert np.all(np.isfinite(bound))
-            assert np.all(spec.evaluate_rows(F, mu) <= bound)
+            assert np.all(spec.evaluate_rows(images, mu) <= bound)
     mu = lebesgue(4)
-    h = haar_function(mu, Node(3, 0)).values
+    e_I = np.zeros(16)
+    e_I[mu.tree.heap(Node(3, 0))] = 1.0
+    h = synthesize_rows(0.0, e_I, mu)
+    assert np.array_equal(h, haar_function(mu, Node(3, 0)).values)
     # BMO's leaf level reads |h_x - <h>_parent| = c_I / mu(child) itself
-    assert NormSpec("bmo").upper_rows(h, mu) == pytest.approx(bmo_rows(h, mu), rel=1e-8)
+    assert NormSpec("bmo").upper_rows(e_I, mu) == pytest.approx(bmo_rows(h, mu), rel=1e-8)
     with pytest.raises(NormError, match="alpha must be a finite real"):
-        NormSpec("lambda", alpha=np.inf).upper_rows(h, mu)
+        NormSpec("lambda", alpha=np.inf).upper_rows(e_I, mu)
+
+
+def test_contending_ratios_synthesize_only_contenders(monkeypatch):
+    """One `contending_ratios` call synthesizes the lead row, then the rows
+    whose bound ratio is not below the bar that the lead row leaves, and no
+    other row; those rows get the ratios of evaluating every image."""
+    mu = generate("random_doubling", 6, seed=2)
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((40, 64))
+    target = NormSpec("lambda", alpha=0.5)
+    upper = target.upper_rows(B, mu)
+    values = target.evaluate_rows(synthesize_rows(0.0, B, mu), mu)
+    # bound ratios spread over [1/2, 1], and the loosest bound leads at 1.05
+    denoms = upper * rng.uniform(1.0, 2.0, 40)
+    loose = np.argmax(upper / values)
+    denoms[loose] = upper[loose] / 1.05
+    bounds, full = upper / denoms, values / denoms
+    synthesized = []
+
+    def spy(means, coeffs, mu):
+        synthesized.append(coeffs.copy())
+        return synthesize_rows(means, coeffs, mu)
+
+    # contending_ratios calls martingale.synthesize_rows through its name in norms
+    monkeypatch.setattr(norms, "synthesize_rows", spy)
+    bar = 0.5 * full.max()
+    ratios = norms.contending_ratios(target, B, mu, denoms, bar)
+    lead = int(np.argmax(bounds))
+    assert lead == loose
+    contenders = np.flatnonzero(bounds >= max(bar, full[lead]))
+    contenders = contenders[contenders != lead]
+    assert 0 < len(contenders) < len(B) - 1
+    assert len(synthesized) == 2
+    assert np.array_equal(synthesized[0], B[lead : lead + 1])
+    assert np.array_equal(synthesized[1], B[contenders])
+    evaluated = np.append(lead, contenders)
+    assert np.array_equal(ratios[evaluated], full[evaluated])
+    assert np.all(np.delete(ratios, evaluated) == -np.inf)
+    assert ratios.max() == full.max()
 
 
 # --- reference level loops ------------------------------------------------

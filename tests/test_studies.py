@@ -213,7 +213,7 @@ def test_theorem_suite_csv_unchanged_without_bounds(monkeypatch):
         ]
 
     pruned = csvs()
-    monkeypatch.setattr(NormSpec, "upper_rows", lambda self, F, mu: None)
+    monkeypatch.setattr(NormSpec, "upper_rows", lambda self, B, mu: None)
     assert csvs() == pruned
 
 
