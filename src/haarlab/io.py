@@ -33,9 +33,10 @@ _ALPHA = '"%d,%d": %r'
 # (joining all 65,534 keys of a depth-16 shift at once costs 8 MB of peak
 # memory)
 _KEY_CHUNK = 4096
-# a node key: ASCII digits only, at most 18 of them per number, so both
-# numbers fit in int64
-_NODE_KEY = "[0-9]{1,18},[0-9]{1,18}"
+# a node key: ASCII digits only, at most 19 of them per number, as many as
+# the index of a depth-62 node takes; a number above 2**63 - 1 parses as
+# 2**63 - 1, which `heap_positions` maps outside every tree
+_NODE_KEY = "[0-9]{1,19},[0-9]{1,19}"
 _KEY = re.compile(_NODE_KEY, re.ASCII)
 _KEYS = re.compile(f"{_NODE_KEY}(?:;{_NODE_KEY})*", re.ASCII)
 

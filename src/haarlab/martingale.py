@@ -66,10 +66,6 @@ class StepFunction:
         return StepFunction(depth, np.zeros(1 << depth))
 
     @staticmethod
-    def constant(depth: int, c: float) -> "StepFunction":
-        return StepFunction(depth, np.full(1 << depth, float(c)))
-
-    @staticmethod
     def indicator(tree: DyadicTree, node: Node) -> "StepFunction":
         lo, hi = tree.leaf_range(node)
         vals = np.zeros(tree.n_leaves)
@@ -94,12 +90,6 @@ class HaarSpectrum:
         if c.shape != (1 << self.depth,):
             raise TreeError(f"expected coeff heap of {1 << self.depth}, got {c.shape}")
         self.coeffs = c
-
-    def coeff(self, node: Node) -> float:
-        k, j = node
-        if k >= self.depth:
-            raise TreeError(f"no Haar coefficient at leaf level for {node}")
-        return float(self.coeffs[(1 << k) + j])
 
     def items(self):
         for p in range(1, 1 << self.depth):
@@ -297,10 +287,12 @@ def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:
 def square_function_martingale(f: StepFunction, mu: MeasureTree) -> StepFunction:
     """Independent martingale form: (sum_k |E_k f - E_{k-1} f|^2)^(1/2)."""
     _check_compat(f, mu)
+    avg = average_heap(f, mu)
     acc = np.zeros(1 << mu.depth)
-    prev = expectation(f, mu, 0).values
+    prev = leaf_broadcast(mu.depth, avg[1:2], 0)
     for k in range(1, mu.depth + 1):
-        cur = expectation(f, mu, k).values
+        # E_k f spreads the level-k averages over the leaves; E_D f is f
+        cur = f.values if k == mu.depth else leaf_broadcast(mu.depth, avg[1 << k : 2 << k], k)
         acc += (cur - prev) ** 2
         prev = cur
     return StepFunction(mu.depth, np.sqrt(acc))

@@ -28,7 +28,6 @@ from .martingale import (
     average_heap,
     first_max,
     average_rows,
-    haar_constant,
     square_function_rows,
     synthesize_rows,
 )
@@ -196,19 +195,20 @@ def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
     contributes zero.
     """
     _check_lambda(2.0, alpha)
-    tree = mu.tree
-    if tree.is_leaf(node):
+    if mu.tree.is_leaf(node):
         raise TreeError(f"no Haar function at leaf {node}")
+    p = mu.tree.heap(node)
+    # the masses of I and its ancestors (p >> i), then of its children, as
+    # Python floats: numpy's array power differs from the scalar power in the
+    # last bit on some masses
+    path = mu.mass_heap[[p >> i for i in range(p.bit_length())]].tolist()
+    children = mu.mass_heap[[2 * p, 2 * p + 1]].tolist()
+    c = float(mu.haar_constant_heap[p])
     best = 0.0
-    j = node
-    while True:
-        best = max(best, mu.mass(j) ** (-0.5 - alpha))
-        if j.level == 0:
-            break
-        j = tree.parent(j)
-    c = haar_constant(mu, node)
-    for child in tree.children(node):
-        best = max(best, c * mu.mass(child) ** (-1.0 - alpha))
+    for m in path:
+        best = max(best, m ** (-0.5 - alpha))
+    for m in children:
+        best = max(best, c * m ** (-1.0 - alpha))
     return best
 
 

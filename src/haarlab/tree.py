@@ -1,11 +1,14 @@
-"""Finite dyadic trees: (level, index) node addressing and navigation.
+"""Finite dyadic trees: (level, index) node addressing.
 
 Nodes are addressed heap-style: the node (k, j) lives at heap position
 2**k + j, so the root is position 1 and the leaves of a depth-D tree
-occupy positions 2**D .. 2**(D+1) - 1.  All per-node arrays in this
-package are heap-indexed with slot 0 unused, and positions are int64, which
-bounds the depth by MAX_DEPTH.  Node keys and the other file fields are
-read by `haarlab.io`.
+occupy positions 2**D .. 2**(D+1) - 1.  Inside the package a node is its
+heap position: every per-node array is heap-indexed with slot 0 unused, and
+parents, children and ancestors are bit shifts of positions.  `Node` is the
+form of the public API and of the files, converted by `DyadicTree.heap` and
+`node_at` (one node) and `heap_positions` and `heap_nodes` (arrays).
+Positions are int64, which bounds the depth by MAX_DEPTH.  Node keys and the
+other file fields are read by `haarlab.io`.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ MAX_DEPTH = 62
 class DyadicTree:
     """A rooted binary tree of dyadic intervals of a fixed finite depth.
 
-    The geometry (root_origin, root_length) is carried only for
-    human-readable reporting; nothing quantitative depends on it.
+    The geometry (root_origin, root_length) is carried only into measure
+    files; nothing quantitative depends on it.
     """
 
     depth: int
@@ -54,10 +57,6 @@ class DyadicTree:
     @property
     def n_leaves(self) -> int:
         return 1 << self.depth
-
-    @property
-    def n_nodes(self) -> int:
-        return (1 << (self.depth + 1)) - 1
 
     @property
     def n_internal(self) -> int:
@@ -82,43 +81,11 @@ class DyadicTree:
     def is_leaf(self, node: Node) -> bool:
         return self.check(node).level == self.depth
 
-    def parent(self, node: Node) -> Node:
-        k, j = self.check(node)
-        if k == 0:
-            raise TreeError("root has no parent")
-        return Node(k - 1, j // 2)
-
     def children(self, node: Node) -> tuple[Node, Node]:
         k, j = self.check(node)
         if k == self.depth:
             raise TreeError(f"leaf {node} has no children")
         return Node(k + 1, 2 * j), Node(k + 1, 2 * j + 1)
-
-    def descendants(self, node: Node, r: int) -> list[Node]:
-        """The 2**r nodes r levels below, left to right."""
-        k, j = self.check(node)
-        if r < 0:
-            raise TreeError(f"descendant depth must be >= 0, got {r}")
-        if k + r > self.depth:
-            raise TreeError(f"descendants({node}, {r}) exceed depth {self.depth}")
-        return [Node(k + r, (j << r) + s) for s in range(1 << r)]
-
-    def descendant(self, node: Node, r: int, s: int) -> Node:
-        """Selector: the s-th (left-to-right) node r levels below."""
-        if not (0 <= s < (1 << r)):
-            raise TreeError(f"selector {s} out of range for depth offset {r}")
-        k, j = self.check(node)
-        if k + r > self.depth:
-            raise TreeError(f"descendant({node}, {r}) exceeds depth {self.depth}")
-        return Node(k + r, (j << r) + s)
-
-    def ancestor(self, node: Node, t: int) -> Node:
-        k, j = self.check(node)
-        if t < 0:
-            raise TreeError(f"ancestor height must be >= 0, got {t}")
-        if k - t < 0:
-            raise TreeError(f"ancestor({node}, {t}) lies above the root")
-        return Node(k - t, j >> t)
 
     def leaf_range(self, node: Node) -> tuple[int, int]:
         """Half-open range of leaf indices under the node."""
@@ -126,25 +93,10 @@ class DyadicTree:
         width = 1 << (self.depth - k)
         return j * width, (j + 1) * width
 
-    def nodes(self) -> Iterator[Node]:
-        for k in range(self.depth + 1):
-            for j in range(1 << k):
-                yield Node(k, j)
-
     def internal_nodes(self) -> Iterator[Node]:
         for k in range(self.depth):
             for j in range(1 << k):
                 yield Node(k, j)
-
-    def leaves(self) -> Iterator[Node]:
-        for j in range(self.n_leaves):
-            yield Node(self.depth, j)
-
-    def interval(self, node: Node) -> tuple[float, float]:
-        """(origin, length) of the node's interval, reporting only."""
-        k, j = self.check(node)
-        length = self.root_length / (1 << k)
-        return self.root_origin + j * length, length
 
 
 def _parent_sums(child_sums: np.ndarray) -> np.ndarray:
@@ -221,6 +173,8 @@ def heap_positions(levels, indices, depth: int) -> np.ndarray:
 
 def heap_nodes(pos: np.ndarray) -> tuple[list[int], list[int]]:
     """Array form of `DyadicTree.node_at`: the levels and indices of heap
-    positions.  The level is frexp(pos)[1] - 1, exact below 2**53."""
+    positions.  The level is frexp(pos)[1] - 1, one too high where pos, at
+    or above 2**53, rounds up to the next power of two as a float."""
     level = np.frexp(pos)[1].astype(np.int64) - 1
+    level -= (pos >> level) == 0
     return level.tolist(), (pos - (1 << level)).tolist()

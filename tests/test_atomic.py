@@ -162,4 +162,4 @@ def test_atb_upper_bound(mu):
         np.sqrt(mu.mass(node)), rel=1e-10
     )
     with pytest.raises(NormError):
-        atb_upper_bound(StepFunction.constant(mu.depth, 1.0), mu)
+        atb_upper_bound(StepFunction(mu.depth, np.full(1 << mu.depth, 1.0)), mu)

@@ -1,5 +1,6 @@
 """Every import in a haarlab module is used by that module, and every
-function, method and class it defines is referenced somewhere.
+function, method and class it defines is referenced from the package, the
+demos or the benchmark.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-definition checks.  `__init__.py` is exempt from the import check: its
@@ -16,8 +17,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "haarlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# where a definition in src/haarlab may be referenced from
-REFERENCE_DIRS = ("src", "tests", "demos", "perfbench")
+# where a definition in src/haarlab must be referenced from: a definition
+# that only tests reach is dead code
+DEFINITION_DIRS = ("src", "demos", "perfbench")
+# where a defaulted parameter of a definition in src/haarlab may be passed from
+DEFAULT_DIRS = ("src", "tests", "demos", "perfbench")
+# the benchmark tracer, which names the attributes it wraps as strings
+TRACER = Path("perfbench", "tracing.py")
 
 
 def _annotation_names(node: ast.AST):
@@ -80,11 +86,25 @@ def _references(tree: ast.AST):
             yield from (alias.name for alias in node.names)
 
 
-def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+def string_names(source: str) -> set[str]:
+    """The dotted parts of every string constant: the names in attribute
+    paths, such as "CanonicalShift.to_general", that a module spells as text."""
+    return {
+        part
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+        if part.isidentifier()
+    }
+
+
+def unreferenced_definitions(
+    defining: dict[str, str], others: list[str], named: set[str]
+) -> list[str]:
     """Non-dunder definitions in `defining` (file name -> source) whose name
-    no module in `defining` or `others` references."""
+    no module in `defining` or `others` references and `named` lacks."""
     trees = {name: ast.parse(source) for name, source in defining.items()}
-    used = set()
+    used = set(named)
     for tree in [*trees.values(), *map(ast.parse, others)]:
         used.update(_references(tree))
     return sorted(
@@ -102,18 +122,46 @@ def test_checker_flags_an_unreferenced_definition():
         "def f() -> 'A':\n    return helper()\n",
     }
     others = ["from m import f\nf().used()\n"]
-    assert unreferenced_definitions(defining, others) == ["m.py:3 dead", "m.py:6 orphan"]
+    assert unreferenced_definitions(defining, others, set()) == ["m.py:3 dead", "m.py:6 orphan"]
+
+
+def package_definitions(root: Path) -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted((root / "src" / "haarlab").glob("*.py"))}
+
+
+def reference_sources(root: Path, dirs: tuple[str, ...]) -> list[str]:
+    """The sources under `dirs` of `root`, outside the package itself."""
+    package = root / "src" / "haarlab"
+    return [
+        p.read_text() for d in dirs for p in sorted((root / d).rglob("*.py")) if p.parent != package
+    ]
+
+
+def dead_definitions(root: Path) -> list[str]:
+    """Package definitions that neither the package, the demos nor the
+    benchmark references, by name or by the tracer's attribute paths."""
+    return unreferenced_definitions(
+        package_definitions(root),
+        reference_sources(root, DEFINITION_DIRS),
+        string_names((root / TRACER).read_text()),
+    )
+
+
+def test_references_from_tests_do_not_count(tmp_path):
+    sources = {
+        "src/haarlab/m.py": "def used(): pass\ndef traced(): pass\ndef tested(): pass\n",
+        "demos/d.py": "from haarlab.m import used\nused()\n",
+        "perfbench/tracing.py": 'TARGETS = [("m", f"{1}.traced")]\n',
+        "tests/test_m.py": "from haarlab.m import tested\ntested()\n",
+    }
+    for name, source in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert dead_definitions(tmp_path) == ["m.py:3 tested"]
 
 
 def test_no_unreferenced_definitions():
-    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [
-        p.read_text()
-        for d in REFERENCE_DIRS
-        for p in sorted((ROOT / d).rglob("*.py"))
-        if p.parent != SRC
-    ]
-    assert unreferenced_definitions(defining, others) == []
+    assert dead_definitions(ROOT) == []
 
 
 def _call_name(call: ast.Call) -> str | None:
@@ -190,14 +238,8 @@ def test_checker_flags_an_unpassed_default():
 
 
 def test_no_unpassed_defaults():
-    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [
-        p.read_text()
-        for d in REFERENCE_DIRS
-        for p in sorted((ROOT / d).rglob("*.py"))
-        if p.parent != SRC
-    ]
-    assert unpassed_defaults(defining, others) == []
+    others = reference_sources(ROOT, DEFAULT_DIRS)
+    assert unpassed_defaults(package_definitions(ROOT), others) == []
 
 
 # the one module that knows the file formats, and the modules that may

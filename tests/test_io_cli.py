@@ -25,7 +25,7 @@ from haarlab.norms import (
     weak_l1,
 )
 from haarlab.shift import CanonicalShift, GeneralShift, ShiftShape, dense_alphas, petermichl
-from haarlab.tree import DyadicTree, Node
+from haarlab.tree import MAX_DEPTH, DyadicTree, Node
 from haarlab.verify import run_verification
 
 
@@ -225,7 +225,7 @@ BAD_KEYS = [
     "1,0,0",
     "1,",
     "",
-    "0000000000000000001,0",  # 19 digits
+    "00000000000000000001,0",  # 20 digits
     "1,0;2,1",
 ]
 
@@ -264,6 +264,46 @@ def test_node_keys_parse_across_chunks(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(hio.FormatError, match=re.escape(repr(key))):
             hio.load_shift(path, 13)
+
+
+# the first and last node of each of the deepest levels: their indices take
+# up to 19 digits and their heap positions reach 2**63 - 1
+DEEP_NODES = [Node(k, j) for k in range(52, MAX_DEPTH + 1) for j in (0, (1 << k) - 1)]
+
+
+def _below(q, r, s):
+    return Node(q.level + r, (q.index << r) + s)
+
+
+def test_depth_62_shifts_roundtrip(tmp_path):
+    D = MAX_DEPTH
+    same = [(q, q, q, 0.5) for q in DEEP_NODES if q.level < D]
+    split = [(q, _below(q, 1, 1), _below(q, 1, 0), -0.25) for q in DEEP_NODES if q.level < D - 1]
+    shifts = [
+        GeneralShift(D, ShiftShape(0, 0), same),
+        GeneralShift(D, ShiftShape(1, 1), split),
+        CanonicalShift(D, 1, 1, 0, 0, dict.fromkeys(DEEP_NODES, 1.0)),
+    ]
+    # the nodes are read back from the position arrays
+    assert shifts[0].terms == tuple(same) and shifts[1].terms == tuple(split)
+    assert list(shifts[2].alphas) == DEEP_NODES
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for T in shifts:
+        hio.save_shift(T, first)
+        again = hio.load_shift(first, D)
+        assert type(again) is type(T) and again.terms == T.terms
+        for name in ("_r_pos", "_s_pos", "_alpha"):
+            assert np.array_equal(getattr(again, name), getattr(T, name))
+        hio.save_shift(again, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert '"62,4611686018427387903": 1.0' in first.read_text()
+    assert np.array_equal(again._q_all, T._q_all)
+    # keys of 19 digits that leave the tree, or int64
+    for key in ("62,4611686018427387904", "61,9999999999999999999", "9999999999999999999,0"):
+        hio.save_shift(CanonicalShift(D, 0, 0, 0, 0, {}), first)
+        first.write_text(first.read_text().replace('"alphas": {}', '"alphas": {"%s": 1.0}' % key))
+        with pytest.raises(hio.FormatError):
+            hio.load_shift(first, D)
 
 
 # integer fields of a shift file: fractional, negative, a bool, of another
@@ -666,7 +706,7 @@ def test_cli_norm_equals_direct_value(tmp_path, capsys, norm, case):
     mu_path = _gen_measure(tmp_path)
     mu = hio.load_measure(mu_path)
     f = StepFunction(mu.depth, np.random.default_rng(3).standard_normal(1 << mu.depth))
-    f = f - StepFunction.constant(mu.depth, float(np.sum(f.values * mu.leaf_masses)))
+    f = f - StepFunction(mu.depth, np.full(1 << mu.depth, np.sum(f.values * mu.leaf_masses)))
     f_path = tmp_path / "f.json"
     hio.save_function(f, f_path)
     capsys.readouterr()

@@ -69,7 +69,7 @@ def test_haar_function_closed_norms(mu):
             haar_linf_norm(mu, node), rel=1e-12
         )
         assert lp_norm(h, mu, 2.0) == pytest.approx(1.0, rel=1e-12)
-        assert inner_product(h, StepFunction.constant(mu.depth, 1.0), mu) == (
+        assert inner_product(h, StepFunction(mu.depth, np.full(1 << mu.depth, 1.0)), mu) == (
             pytest.approx(0.0, abs=1e-12)
         )
     with pytest.raises(TreeError):
@@ -81,7 +81,7 @@ def test_analyze_matches_inner_products(mu):
     spec = analyze(f, mu)
     for node in mu.tree.internal_nodes():
         h = haar_function(mu, node)
-        assert spec.coeff(node) == pytest.approx(inner_product(f, h, mu), abs=1e-12)
+        assert spec.coeffs[mu.tree.heap(node)] == pytest.approx(inner_product(f, h, mu), abs=1e-12)
     assert spec.mean == pytest.approx(average(f, mu, Node(0, 0)), rel=1e-12)
 
 
@@ -139,10 +139,8 @@ def test_differences_telescope(mu):
 def test_average_heap_consistency(mu):
     f = _rand_f(mu, 5)
     avg = average_heap(f, mu)
-    for node in mu.tree.nodes():
-        assert avg[mu.tree.heap(node)] == pytest.approx(
-            average(f, mu, node), rel=1e-12
-        )
+    for p in range(1, 2 << mu.depth):
+        assert avg[p] == pytest.approx(average(f, mu, mu.tree.node_at(p)), rel=1e-12)
 
 
 def test_square_function_forms_agree(mu):

@@ -81,7 +81,7 @@ def test_weak_l1(mu):
 
 
 def test_bmo_kills_constants(mu):
-    c = StepFunction.constant(mu.depth, 4.2)
+    c = StepFunction(mu.depth, np.full(1 << mu.depth, 4.2))
     assert bmo_martingale(c, mu) == pytest.approx(0.0, abs=1e-12)
     assert bmo_oscillation(c, mu) == pytest.approx(0.0, abs=1e-12)
     f = _rand_f(mu, 3)

@@ -139,7 +139,7 @@ def test_deterministic_probe_order(monkeypatch):
     for p in range(1, 2 * n):
         node = tree.node_at(p)
         ind = StepFunction.indicator(tree, node)
-        centred = ind - StepFunction.constant(mu.depth, mu.mass(node) / mu.total_mass)
+        centred = ind - StepFunction(mu.depth, np.full(n, mu.mass(node) / mu.total_mass))
         assert np.array_equal(seen[n - 1 + 2 * (p - 1)], ind.values)
         assert np.array_equal(seen[n + 2 * (p - 1)], centred.values)
 
@@ -162,7 +162,7 @@ def node_probes(mu: MeasureTree, nodes: Iterable[Node]) -> Iterator[StepFunction
     for node in nodes:
         ind = StepFunction.indicator(mu.tree, node)
         yield ind
-        yield ind - StepFunction.constant(mu.depth, mu.mass(node) / total)
+        yield ind - StepFunction(mu.depth, np.full(1 << mu.depth, mu.mass(node) / total))
 
 
 def stack_chunks(functions: Iterable[StepFunction], depth: int) -> Iterator[np.ndarray]:
@@ -236,7 +236,7 @@ def _ref_ratio(T, f, mu, from_norm, to_norm):
 
 def _ref_node_probe_stage(T, mu, from_norm, to_norm):
     best_val, best_f = -np.inf, None
-    for f in node_probes(mu, mu.tree.nodes()):
+    for f in node_probes(mu, map(mu.tree.node_at, range(1, 2 << mu.depth))):
         val = _ref_ratio(T, f, mu, from_norm, to_norm)
         if val > best_val:
             best_val, best_f = val, f

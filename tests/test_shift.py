@@ -235,10 +235,10 @@ def _reference_petermichl(depth):
 
 
 def _reference_to_general(C):
-    tree = DyadicTree(C.depth)
     cutoff = C.depth - 1 - max(C.m, C.n)
     terms = [
-        (q, tree.descendant(q, C.m, C.s_sel), tree.descendant(q, C.n, C.t_sel), a)
+        (q, Node(q.level + C.m, (q.index << C.m) + C.s_sel),
+         Node(q.level + C.n, (q.index << C.n) + C.t_sel), a)
         for q, a in sorted(C.alphas.items())
         if q.level <= cutoff
     ]

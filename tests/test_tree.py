@@ -1,14 +1,17 @@
-"""Node addressing, navigation, and heap aggregation."""
+"""Node addressing and heap aggregation."""
 
 import numpy as np
 import pytest
 
 from haarlab.tree import (
+    MAX_DEPTH,
     DyadicTree,
     Node,
     TreeError,
     aggregate,
     aggregate_heap,
+    heap_nodes,
+    heap_positions,
     leaf_broadcast,
     level_sums,
 )
@@ -20,39 +23,49 @@ def tree():
 
 
 def test_heap_node_roundtrip(tree):
-    for node in tree.nodes():
-        assert tree.node_at(tree.heap(node)) == node
-    for pos in range(1, tree.n_nodes + 1):
+    nodes = [Node(k, j) for k in range(tree.depth + 1) for j in range(1 << k)]
+    assert [tree.heap(node) for node in nodes] == list(range(1, 2 << tree.depth))
+    for pos in range(1, 2 << tree.depth):
         assert tree.heap(tree.node_at(pos)) == pos
+    for pos in (0, 2 << tree.depth):
+        with pytest.raises(TreeError):
+            tree.node_at(pos)
 
 
 def test_node_counts(tree):
     assert tree.n_leaves == 16
     assert tree.n_internal == 15
-    assert tree.n_nodes == 31
-    assert len(list(tree.nodes())) == tree.n_nodes
-    assert len(list(tree.internal_nodes())) == tree.n_internal
-    assert len(list(tree.leaves())) == tree.n_leaves
+    assert list(tree.internal_nodes()) == [tree.node_at(p) for p in range(1, tree.n_leaves)]
+    assert [tree.is_leaf(tree.node_at(p)) for p in range(1, 2 << tree.depth)] == (
+        [False] * tree.n_internal + [True] * tree.n_leaves
+    )
 
 
 def test_parent_children_inverse(tree):
     for node in tree.internal_nodes():
         left, right = tree.children(node)
-        assert tree.parent(left) == node
-        assert tree.parent(right) == node
         assert left.index == 2 * node.index
         assert right.index == 2 * node.index + 1
+        assert tree.heap(left) == 2 * tree.heap(node)
+        assert tree.heap(right) == 2 * tree.heap(node) + 1
 
 
-def test_ancestor_descendant(tree):
-    node = Node(2, 1)
-    assert tree.ancestor(node, 0) == node
-    assert tree.ancestor(node, 2) == Node(0, 0)
-    for r in range(3):
-        for s in range(1 << r):
-            d = tree.descendant(node, r, s)
-            assert tree.ancestor(d, r) == node
-    assert tree.descendants(Node(1, 1), 2) == [Node(3, 4 + s) for s in range(4)]
+def test_array_forms_match_node_forms():
+    rng = np.random.default_rng(2)
+    for depth in (4, MAX_DEPTH):
+        tree = DyadicTree(depth)
+        # each level's first, middle and last node, and one drawn at random
+        nodes = [
+            Node(k, int(j))
+            for k in range(depth + 1)
+            for j in (0, (1 << k) >> 1, (1 << k) - 1, rng.integers(1 << k))
+        ]
+        pos = heap_positions([n.level for n in nodes], [n.index for n in nodes], depth)
+        assert pos.tolist() == [tree.heap(n) for n in nodes]
+        assert list(map(Node, *heap_nodes(pos))) == nodes
+        assert [tree.node_at(p) for p in pos.tolist()] == nodes
+    outside = heap_positions([-1, 5, 2, 2, 4], [0, 0, -1, 4, 16], 4)
+    assert outside.tolist() == [0] * 5
 
 
 def test_leaf_range(tree):
@@ -61,26 +74,13 @@ def test_leaf_range(tree):
     assert tree.leaf_range(Node(4, 7)) == (7, 8)
 
 
-def test_interval(tree):
-    origin, length = tree.interval(Node(2, 1))
-    assert origin == 0.25 and length == 0.25
-
-
 def test_navigation_errors(tree):
-    with pytest.raises(TreeError):
-        tree.parent(Node(0, 0))
     with pytest.raises(TreeError):
         tree.children(Node(4, 0))
     with pytest.raises(TreeError):
         tree.check(Node(2, 4))
     with pytest.raises(TreeError):
         tree.check(Node(5, 0))
-    with pytest.raises(TreeError):
-        tree.ancestor(Node(1, 0), 2)
-    with pytest.raises(TreeError):
-        tree.descendant(Node(3, 0), 2, 0)
-    with pytest.raises(TreeError):
-        tree.descendant(Node(0, 0), 1, 2)
     with pytest.raises(TreeError):
         DyadicTree(0)
 
@@ -91,9 +91,9 @@ def test_aggregate_heap_matches_brute_force():
     vals = rng.standard_normal(1 << depth)
     heap = aggregate_heap(depth, vals)
     tree = DyadicTree(depth)
-    for node in tree.nodes():
-        lo, hi = tree.leaf_range(node)
-        assert heap[tree.heap(node)] == pytest.approx(np.sum(vals[lo:hi]), rel=1e-12)
+    for pos in range(1, 2 << depth):
+        lo, hi = tree.leaf_range(tree.node_at(pos))
+        assert heap[pos] == pytest.approx(np.sum(vals[lo:hi]), rel=1e-12)
 
 
 def test_aggregate_heap_shape_error():
