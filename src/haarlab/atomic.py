@@ -116,6 +116,8 @@ def haar_block(mu: MeasureTree, node: Node, p: float = 2.0) -> AtomicBlock:
 
 def combine_blocks(blocks: list[AtomicBlock], weights: list[float]) -> AtomicBlock:
     """Weighted combination of blocks sharing a base level and exponent."""
+    if not blocks or len(weights) != len(blocks):
+        raise NormError(f"need one weight per block, got {len(weights)} for {len(blocks)}")
     base = blocks[0].base_level
     p = blocks[0].p
     if any(b.base_level != base or b.p != p for b in blocks):
@@ -136,6 +138,8 @@ def random_block(
     2**base_level + i."""
     if not 0 <= base_level <= mu.depth - 1:
         raise NormError(f"base level {base_level} out of range")
+    if n_subatoms < 1:
+        raise NormError(f"n_subatoms must be >= 1, got {n_subatoms}")
     n_candidates = (1 << mu.depth) - (1 << base_level)
     picks = rng.choice(n_candidates, size=min(n_subatoms, n_candidates), replace=False)
     blocks, weights = [], []

@@ -10,9 +10,9 @@ row of a (P, 2**depth) array, see `martingale`); the one-function forms
 BMO and Lambda_q(alpha) also have a cheap certified upper bound per row
 (`bmo_upper_rows`, `lambda_upper_rows`), taken on the Haar coefficients of
 a mean-zero image rather than on its leaf values: a bound on the value the
-kernel *computes* on the synthesized image, rounding included.  A caller
-that only needs the maximum over many images may skip every one whose
-bound lies below a value already attained, and never synthesize it
+kernel *computes* on the synthesized image, rounding included.  The one
+max-ratio fold, `opnorm.battery_maxima`, skips every image whose bound lies
+below a value already attained and never synthesizes it
 (`contending_ratios`); such an image provably cannot raise the maximum.
 """
 
@@ -482,8 +482,7 @@ def contending_ratios(
     """target(g) / denom for every image g = synthesize_rows(0.0, b, mu) of
     a row b of the coefficient heaps `coeffs` that can still beat the
     running maximum `bar`, and -inf for every other row; every denominator
-    is finite and positive.  The theorem suites and `opnorm_lower_bound`'s
-    node probes skip rows by this one rule.
+    is finite and positive.  Its one caller is `opnorm.battery_maxima`.
 
     Where the target has a certified upper bound (`NormSpec.upper_rows`,
     taken on the coefficients), the row with the largest finite bound ratio

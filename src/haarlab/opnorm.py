@@ -10,7 +10,7 @@ independently of the search that found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,7 @@ from .martingale import (
 from .measure import MeasureTree
 from .norms import NormSpec, contending_ratios
 from .shift import GeneralShift, haar_matrix
-from .tree import Node
+from .tree import Node, heap_levels
 
 
 @dataclass(frozen=True)
@@ -97,29 +97,23 @@ def l2_opnorm(T: GeneralShift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEst
     )
 
 
+def _usable(denoms: np.ndarray) -> np.ndarray:
+    """Indices of the denominators that are finite and positive."""
+    return np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
+
+
 def _ratio_rows(
-    T: GeneralShift,
-    F: np.ndarray,
-    mu: MeasureTree,
-    from_norm: NormSpec,
-    to_norm: NormSpec,
-    bar: float | None = None,
+    T: GeneralShift, F: np.ndarray, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> np.ndarray:
     """to_norm(T f) / from_norm(f) for every row f of a (P, 2**depth) array
-    F; -inf where the denominator is 0 or not finite.  Given a running
-    maximum `bar`, the shifted coefficients go to `norms.contending_ratios`:
-    only the images that can still reach the bar are synthesized and
-    evaluated, and the others read -inf too."""
+    F; -inf where the denominator is not finite and positive."""
     denoms = from_norm.evaluate_rows(F, mu)
-    ok = np.flatnonzero((denoms != 0.0) & np.isfinite(denoms))
+    ok = _usable(denoms)
     out = np.full(len(F), -np.inf)
     if ok.size:
         _, coeffs = analyze_rows(F[ok], mu)
-        shifted = T.apply_rows(coeffs)
-        if bar is None:
-            out[ok] = to_norm.evaluate_rows(synthesize_rows(0.0, shifted, mu), mu) / denoms[ok]
-        else:
-            out[ok] = contending_ratios(to_norm, shifted, mu, denoms[ok], bar)
+        images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
+        out[ok] = to_norm.evaluate_rows(images, mu) / denoms[ok]
     return out
 
 
@@ -129,22 +123,32 @@ def _ratio(
     return float(_ratio_rows(T, f.values[None], mu, from_norm, to_norm)[0])
 
 
-def _best_node_probe(
-    T: GeneralShift, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
-) -> tuple[float, StepFunction | None]:
-    """The first row of `node_probe_rows` over every node with the largest
-    ratio, as a `StepFunction`, and that ratio; (-inf, None) when no ratio
-    beats -inf.  The rows are scored a chunk at a time, each against the
-    maximum so far: a row certified to lie below it is skipped, and a row
-    that ties it is evaluated, so the first maximum is the one a full scan
-    finds."""
-    best_val, best_f = -np.inf, None
-    for F in node_probe_rows(mu, np.arange(1, 2 << mu.depth)):
-        vals = _ratio_rows(T, F, mu, from_norm, to_norm, bar=best_val)
-        i = first_max(vals)
-        if vals[i] > best_val:
-            best_val, best_f = float(vals[i]), StepFunction(mu.depth, F[i].copy())
-    return best_val, best_f
+def battery_maxima(
+    battery: dict[str, GeneralShift], mu: MeasureTree, chunks: Iterable, target: NormSpec
+) -> dict[str, tuple[float, np.ndarray | None]]:
+    """Per shift T of `battery`, the largest ratio target(T f) / denom over
+    the rows f of the (F, denoms) `chunks` whose denominator is finite and
+    positive, and the first row f that attains it; (-inf, None) where no
+    ratio beats -inf.  A NaN ratio never wins.
+
+    Each chunk is analyzed once for all shifts, and each shift's
+    coefficients go to `norms.contending_ratios` against that shift's
+    maximum so far: a row certified to lie below it is never synthesized,
+    and a row that ties it is evaluated, so the maxima and rows are those
+    of scoring every row in order."""
+    best = dict.fromkeys(battery, (-np.inf, None))
+    for F, denoms in chunks:
+        ok = _usable(denoms)
+        if not ok.size:
+            continue
+        _, coeffs = analyze_rows(F[ok], mu)
+        for name, T in battery.items():
+            bar = best[name][0]
+            ratios = contending_ratios(target, T.apply_rows(coeffs), mu, denoms[ok], bar)
+            i = first_max(ratios)
+            if ratios[i] > bar:
+                best[name] = (float(ratios[i]), F[ok[i]].copy())
+    return best
 
 
 def node_probe_rows(mu: MeasureTree, positions: np.ndarray) -> Iterator[np.ndarray]:
@@ -169,7 +173,7 @@ def node_probe_rows(mu: MeasureTree, positions: np.ndarray) -> Iterator[np.ndarr
     haar_val = np.stack([c / mass[2 * q], -c / mass[2 * q + 1]], 1).ravel()
     pair_val = np.stack([np.ones(len(pos)), 1.0 - share], 1).ravel()
     run_val = np.concatenate([haar_val, pair_val])
-    level = np.frexp(run_node)[1].astype(np.int64) - 1
+    level = heap_levels(run_node)
     run_len = n >> level
     run_lo = (run_node - (1 << level)) * run_len
     fill = np.zeros(len(q) + 2 * len(pos))
@@ -199,27 +203,31 @@ def opnorm_lower_bound(
     zero mean), then `budget` seeded random trials each followed by a short
     greedy single-leaf ascent.  Trial t draws its own generator from
     (seed, t), so enlarging the budget only appends probes and the bound is
-    monotone in the budget.  Degenerate probes (zero source norm) are
-    skipped.
+    monotone in the budget.  Degenerate probes (a source norm that is 0 or
+    not finite) are skipped.
 
     Everything is scored in batches of at most `martingale.CHUNK_BYTES`,
     with the values and witness of scoring one probe at a time.  The node
-    probes skip the rows certified to lie below the maximum so far.  The
-    random starts of a chunk of trials are scored together, and then each
-    trial's ascent runs in trial order.  An ascent draws its step moves
-    (leaf, then step size) from its generator whether or not a move is
-    accepted, and scoring draws nothing, so all moves are drawn up front:
-    the generator stream is that of the one-at-a-time loop.  The remaining
-    moves from the current function are scored as one batch (a chunk at a
-    time), the first that beats it is accepted, and the batch is rebuilt
-    from the move after it: one batch per accepted move, plus one.
+    probes are a one-shift `battery_maxima` fold, which skips the rows
+    certified to lie below the maximum so far.  The random starts of a chunk
+    of trials are scored together, and then each trial's ascent runs in
+    trial order.  An ascent draws its step moves (leaf, then step size) from
+    its generator whether or not a move is accepted, and scoring draws
+    nothing, so all moves are drawn up front: the generator stream is that
+    of the one-at-a-time loop.  The remaining moves from the current
+    function are scored as one batch (a chunk at a time), the first that
+    beats it is accepted, and the batch is rebuilt from the move after it:
+    one batch per accepted move, plus one.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if ascent_steps < 0:
         raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     n = 1 << mu.depth
-    best_val, best_f = _best_node_probe(T, mu, from_norm, to_norm)
+    probes = node_probe_rows(mu, np.arange(1, 2 << mu.depth))
+    chunks = ((F, from_norm.evaluate_rows(F, mu)) for F in probes)
+    best_val, best_row = battery_maxima({"T": T}, mu, chunks, to_norm)["T"]
+    best_f = None if best_row is None else StepFunction(mu.depth, best_row)
 
     def ascend(f: StepFunction, val: float, rng: np.random.Generator):
         scale = max(float(np.max(np.abs(f.values))), 1.0)

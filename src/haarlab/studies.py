@@ -13,14 +13,15 @@ import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
-from .martingale import analyze_rows, first_max, haar_function, row_chunks
+from .martingale import haar_function, row_chunks
 from .measure import MeasureTree, generate
-from .norms import NormSpec, contending_ratios, haar_lambda2_norm, lambda_norm
-from .opnorm import node_probe_rows
+from .norms import NormSpec, haar_lambda2_norm, lambda_norm
+from .opnorm import battery_maxima, node_probe_rows
 from .shift import CanonicalShift, GeneralShift, apply_shift, petermichl
 from .tree import Node
 
@@ -193,51 +194,34 @@ def _suite_maxima(
     battery: dict[str, GeneralShift],
     mu: MeasureTree,
     inputs: np.ndarray,
-    denoms: np.ndarray,
+    denoms_of: Callable[[slice], np.ndarray],
     target: NormSpec,
 ) -> dict[str, float]:
-    """Max ratio per shift of target(T f) / denom over the rows f of
-    `inputs`, skipping denominators that are not finite and positive; -inf
-    where none is.  Chunk by chunk, the spectra are shared across shifts,
-    and each shift's coefficients go to `norms.contending_ratios`, which
-    bounds every image from its coefficients and synthesizes and evaluates
-    only the images that can still beat the running maximum: every skipped
-    image is certified not to raise it, so the maxima are those of
-    evaluating all.
+    """Max ratio per shift of target(T f) / denominator over the rows f of
+    `inputs` (`opnorm.battery_maxima`); `denoms_of(s)` gives the
+    denominators of the rows `inputs[s]`.
 
-    A shift's running maximum depends on no other shift, so the shifts are
-    split over one worker per usable CPU (at most one per shift).  The
-    calling thread is worker 0 and helper threads run the others; each
-    worker walks every chunk in order and computes its spectra itself, so
-    each shift's fold, and its maximum, is the one-worker fold.  The numpy
-    and scipy kernels release the interpreter lock, so the workers overlap."""
-    rows = np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
+    The `row_chunks` go to W = min(usable CPUs, chunks) workers: worker w
+    folds chunks w, w + W, ... with its own maxima and source norms, so a
+    skipped image is certified below its worker's maximum and the max over
+    the workers is the one-worker fold's (no ratio is -0.0).  Worker 0 is
+    the calling thread, so one chunk runs inline.  The workers share only
+    read-only inputs and the shifts, whose lazy matrices are the same
+    whoever builds them; numpy and scipy release the interpreter lock, so
+    the workers overlap."""
+    slices = list(row_chunks(len(inputs), mu.depth))
 
-    def fold(share: list[str]) -> dict[str, float]:
-        best = dict.fromkeys(share, -np.inf)
-        for chunk in row_chunks(len(rows), mu.depth):
-            picked = rows[chunk]
-            _, coeffs = analyze_rows(inputs[picked], mu)
-            for shift_name in share:
-                shifted = battery[shift_name].apply_rows(coeffs)
-                ratios = contending_ratios(target, shifted, mu, denoms[picked], best[shift_name])
-                i = first_max(ratios)
-                if ratios[i] > best[shift_name]:
-                    best[shift_name] = float(ratios[i])
-        return best
+    def fold(share: list[slice]) -> dict[str, tuple[float, np.ndarray | None]]:
+        return battery_maxima(battery, mu, ((inputs[s], denoms_of(s)) for s in share), target)
 
-    names = list(battery)
-    workers = max(1, min(len(names), _usable_cpus()))
-    shares = [names[w::workers] for w in range(workers)]
-    # a pool with no task starts no thread: one worker runs inline.  Each
-    # helper runs in a copy of the caller's context, which holds numpy's
-    # floating-point error state.
+    workers = max(1, min(len(slices), _usable_cpus()))
+    # a pool with no task starts no thread.  Each helper runs in a copy of
+    # the caller's context, which holds numpy's floating-point error state.
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, fold, share) for share in shares[1:]]
-        best = fold(shares[0])
-        for helper in helpers:
-            best.update(helper.result())
-    return {shift_name: best[shift_name] for shift_name in names}
+        shares = [slices[w::workers] for w in range(workers)]
+        helpers = [pool.submit(contextvars.copy_context().run, fold, s) for s in shares[1:]]
+        folds = [fold(shares[0])] + [helper.result() for helper in helpers]
+    return {name: max(maxima[name][0] for maxima in folds) for name in battery}
 
 
 def theorem_suite(
@@ -266,14 +250,12 @@ def theorem_suite(
             if source is None:
                 blocks = block_battery(mu, seed)
                 inputs = np.stack([b.function(depth).values for b in blocks])
-                denoms = np.array([b.cost for b in blocks])
+                costs = np.array([b.cost for b in blocks])
+                denoms_of = lambda s: costs[s]
             else:
                 inputs = probe_battery(mu, seed, n_random=n_random)
-                denoms = np.concatenate([
-                    source.evaluate_rows(inputs[chunk], mu)
-                    for chunk in row_chunks(len(inputs), depth)
-                ])
-            maxima = _suite_maxima(default_shift_battery(depth), mu, inputs, denoms, target)
+                denoms_of = lambda s: source.evaluate_rows(inputs[s], mu)
+            maxima = _suite_maxima(default_shift_battery(depth), mu, inputs, denoms_of, target)
             ests = {f"{shift_name}|{name}": v for shift_name, v in maxima.items()}
             rows.append(
                 StudyRow(

@@ -171,10 +171,15 @@ def heap_positions(levels, indices, depth: int) -> np.ndarray:
     return np.where(inside & (j >= 0) & (j < width), width + j, 0)
 
 
-def heap_nodes(pos: np.ndarray) -> tuple[list[int], list[int]]:
-    """Array form of `DyadicTree.node_at`: the levels and indices of heap
-    positions.  The level is frexp(pos)[1] - 1, one too high where pos, at
-    or above 2**53, rounds up to the next power of two as a float."""
+def heap_levels(pos: np.ndarray) -> np.ndarray:
+    """The levels of int64 heap positions: frexp(pos)[1] - 1, less one where
+    pos, at or above 2**53, rounds up to the next power of two as a float."""
     level = np.frexp(pos)[1].astype(np.int64) - 1
     level -= (pos >> level) == 0
+    return level
+
+
+def heap_nodes(pos: np.ndarray) -> tuple[list[int], list[int]]:
+    """Array form of `DyadicTree.node_at`: the levels and indices of heap positions."""
+    level = heap_levels(pos)
     return level.tolist(), (pos - (1 << level)).tolist()

@@ -104,6 +104,18 @@ def test_random_block_always_valid(mu):
         random_block(mu, mu.depth, 2, np.random.default_rng(0))
 
 
+def test_block_combinations_reject_bad_input(mu):
+    # no block, a weight per block short, and a block count below one
+    b1 = AtomicBlock(2, 2.0, haar_block(mu, Node(2, 0)).subatoms)
+    b2 = AtomicBlock(2, 2.0, haar_block(mu, Node(2, 1)).subatoms)
+    for blocks, weights in [([], []), ([b1, b2], [1.0]), ([b1], [1.0, 2.0])]:
+        with pytest.raises(NormError, match="one weight per block"):
+            combine_blocks(blocks, weights)
+    for n_subatoms in (0, -1):
+        with pytest.raises(NormError, match="n_subatoms must be >= 1"):
+            random_block(mu, 1, n_subatoms, np.random.default_rng(0))
+
+
 def _ref_random_block(mu, base_level, n_subatoms, rng):
     # `random_block` as it was before it drew by index, verbatim
     if not 0 <= base_level <= mu.depth - 1:

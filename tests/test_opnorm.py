@@ -123,17 +123,19 @@ def test_deterministic_probe_order(monkeypatch):
     # node in heap order its indicator and the recentred indicator
     mu = random_doubling(3, seed=5)
     seen = []
-    ratio_rows = opnorm._ratio_rows
+    battery_maxima = opnorm.battery_maxima
 
-    def spy(T, F, mu_, from_norm, to_norm, bar=None):
-        seen.extend(F.copy())
-        return ratio_rows(T, F, mu_, from_norm, to_norm, bar)
+    def spy(battery, mu_, chunks, target):
+        chunks = list(chunks)
+        seen.extend(row for F, _ in chunks for row in F)
+        return battery_maxima(battery, mu_, chunks, target)
 
-    # every ratio, batched or one-row, is scored by _ratio_rows
-    monkeypatch.setattr(opnorm, "_ratio_rows", spy)
+    # the node probes are the chunks of the one battery_maxima fold
+    monkeypatch.setattr(opnorm, "battery_maxima", spy)
     l2 = NormSpec("lp", p=2.0)
     opnorm_lower_bound(petermichl(3), mu, l2, l2, budget=1, ascent_steps=0)
     n, tree = 1 << mu.depth, mu.tree
+    assert len(seen) == (n - 1) + 2 * (2 * n - 1)
     for p in range(1, n):
         assert np.array_equal(seen[p - 1], haar_function(mu, tree.node_at(p)).values)
     for p in range(1, 2 * n):
@@ -225,6 +227,13 @@ def test_node_probe_rows_split_anywhere(monkeypatch):
                 assert n_haar in ends and 2 * n_haar in ends  # n_haar is odd
 
 
+def _node_probe_stage(T, mu, from_norm, to_norm):
+    # opnorm_lower_bound's node stage: one fold over the probes of every node
+    probes = node_probe_rows(mu, np.arange(1, 2 << mu.depth))
+    chunks = ((F, from_norm.evaluate_rows(F, mu)) for F in probes)
+    return opnorm.battery_maxima({"T": T}, mu, chunks, to_norm)["T"]
+
+
 # opnorm_lower_bound before its node probes were scored as one batch, copied
 # verbatim (its _ratio as _ref_ratio) as the reference for the batched stage.
 def _ref_ratio(T, f, mu, from_norm, to_norm):
@@ -313,9 +322,9 @@ def test_node_probe_stage_matches_sequential_reference(kind, monkeypatch):
                 for chunk_bytes in (None, 8, 3 * 8 << depth):
                     if chunk_bytes is not None:
                         monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
-                    val, f = opnorm._best_node_probe(T, mu, from_n, to_n)
+                    val, row = _node_probe_stage(T, mu, from_n, to_n)
                     assert repr(val) == repr(ref_val)
-                    assert f.values.tobytes() == ref_f.values.tobytes()
+                    assert row.tobytes() == ref_f.values.tobytes()
                 monkeypatch.undo()
 
 
@@ -346,4 +355,4 @@ def test_node_probe_stage_without_a_finite_ratio(mu):
             return np.zeros(F.shape[:-1])
 
     T = petermichl(mu.depth)
-    assert opnorm._best_node_probe(T, mu, ZeroNorm(), NormSpec("bmo")) == (-np.inf, None)
+    assert _node_probe_stage(T, mu, ZeroNorm(), NormSpec("bmo")) == (-np.inf, None)

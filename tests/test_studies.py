@@ -1,8 +1,11 @@
 """Blowup and boundedness studies plus the canonical CSV emitter."""
 
+import functools
+import importlib.util
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +155,8 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
     mu = generate(kind, depth, seed=3)
     battery = default_shift_battery(depth)
     probes = list(probe_battery(mu, 3, n_random=2))
-    probes += [b.function(depth).values for b in block_battery(mu, 3)]
+    nodes, randoms = probes[:-4], probes[-4:]
+    blocks = [b.function(depth).values for b in block_battery(mu, 3)]
     n = 1 << depth
     hard = [
         np.zeros(n),  # zero images, bound 0
@@ -162,23 +166,46 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
         1e150 * probes[11], 1e-160 * probes[11],  # outside the certified range
         1e-140 * probes[12], 1e140 * probes[13],
     ]
-    F = np.stack(probes + hard)
-    denoms = np.random.default_rng(3).uniform(0.5, 2.0, len(F))
-    denoms[[1, 4, 6, 9]] = [0.0, -1.0, np.nan, np.inf]  # rows to skip
-    denoms[-10:-6] = [1.0, 1.0, 2.0, 1.0]  # the tied pairs tie in ratio
-    inputs = [(StepFunction(depth, row), float(d)) for row, d in zip(F, denoms)]
-    targets = [target for _, target in SUITES.values()] + BOUNDED_TARGETS
-    for target in targets:
-        with np.errstate(all="ignore"):
-            expected = _ref_suite_maxima(battery, mu, inputs, target)
-        # one chunk, one row per chunk, and seven rows per chunk
-        for chunk_bytes in (martingale.CHUNK_BYTES, 8, 7 * 8 << depth):
-            monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
+
+    def with_denoms(rows):
+        denoms = np.random.default_rng(3).uniform(0.5, 2.0, len(rows))
+        denoms[[1, 4, 6, 9]] = [0.0, -1.0, np.nan, np.inf]  # rows to skip
+        denoms[-10:-6] = [1.0, 1.0, 2.0, 1.0]  # the tied pairs tie in ratio
+        return np.stack(rows), denoms
+
+    def check(G, dG, F, dF, grid):
+        # `_suite_maxima` on (F, dF) against the reference on (G, dG), at
+        # each (chunk bytes, workers) of the grid
+        inputs = [(StepFunction(depth, row), float(d)) for row, d in zip(G, dG)]
+        for target in [target for _, target in SUITES.values()] + BOUNDED_TARGETS:
             with np.errstate(all="ignore"):
-                got = studies._suite_maxima(battery, mu, F, denoms, target)
-            assert repr(got) == repr(expected), target
+                expected = _ref_suite_maxima(battery, mu, inputs, target)
+            for chunk_bytes, workers in grid:
+                monkeypatch.setattr(martingale, "CHUNK_BYTES", chunk_bytes)
+                monkeypatch.setattr(studies, "_usable_cpus", lambda: workers)
+                with np.errstate(all="ignore"):
+                    got = studies._suite_maxima(battery, mu, F, dF.__getitem__, target)
+                assert repr(got) == repr(expected), (target, chunk_bytes, workers)
+
+    # every row, in one chunk of the default size, on one worker
+    F, denoms = with_denoms(probes + blocks + hard)
+    check(F, denoms, F, denoms, [(martingale.CHUNK_BYTES, 1)])
+    # every third node probe, the random and block rows and the hard rows,
+    # then rows to skip up to 147, then the same rows again: every maximum
+    # is attained on a row and on its copy 147 rows later, 147 / rows
+    # chunks on, which is odd and prime to 5, so at 2 and 5 workers the
+    # copy is in another worker's chunk
+    G, dG = with_denoms(nodes[::3] + randoms + blocks + hard)
+    gap = 147 - len(G)
+    F = np.concatenate([G, np.ones((gap, n)), G])
+    denoms = np.concatenate([dG, np.zeros(gap), dG])
+    grid = []
+    for rows in (1, 3, 7):
+        assert 147 % rows == 0 and 147 // rows % 2 and 147 // rows % 5
+        grid += [(rows * 8 << depth, workers) for workers in (1, 2, 5)]
+    check(G, dG, F, denoms, grid)
     # no usable denominator leaves every maximum at -inf
-    none = studies._suite_maxima(battery, mu, F[:3], np.zeros(3), NormSpec("bmo"))
+    none = studies._suite_maxima(battery, mu, F[:3], np.zeros(3).__getitem__, NormSpec("bmo"))
     assert none == dict.fromkeys(battery, -np.inf)
 
 
@@ -217,10 +244,27 @@ def test_theorem_suite_csv_unchanged_without_bounds(monkeypatch):
     assert csvs() == pruned
 
 
+def _fold_threads(monkeypatch) -> list:
+    """The threads `battery_maxima` runs on in `studies`, from now on."""
+    threads = []
+    battery_maxima = studies.battery_maxima
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return battery_maxima(*args)
+
+    monkeypatch.setattr(studies, "battery_maxima", spy)
+    return threads
+
+
 def test_theorem_suite_csv_unchanged_across_workers(monkeypatch):
-    """Splitting the shifts over 1, 2 or 5 workers leaves every suite's CSV
-    as it is; 5 workers is more than this battery's shifts and more threads
-    than cores, and runs with a short thread switch interval."""
+    """Splitting the chunks over 2 or 5 workers leaves every suite's CSV as
+    one worker on one chunk per cell writes it; 5 workers is more threads
+    than cores, and runs with a short thread switch interval.  At 8 rows
+    per chunk at depth 8 (128 at depth 4), every cell from depth 6 up and
+    every probe cell from depth 5 up has several chunks."""
+    threads = _fold_threads(monkeypatch)
+
     def csvs(workers):
         monkeypatch.setattr(studies, "_usable_cpus", lambda: workers)
         return [
@@ -229,6 +273,8 @@ def test_theorem_suite_csv_unchanged_across_workers(monkeypatch):
         ]
 
     inline = csvs(1)
+    assert set(threads) == {threading.main_thread()}
+    monkeypatch.setattr(martingale, "CHUNK_BYTES", 8 * 8 << 8)
     assert csvs(2) == inline
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -236,24 +282,77 @@ def test_theorem_suite_csv_unchanged_across_workers(monkeypatch):
         assert csvs(5) == inline
     finally:
         sys.setswitchinterval(interval)
+    assert len(set(threads)) > 1  # helper threads folded chunks
+
+
+def _load_tracing():
+    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_helper_threads_call_no_traced_function(monkeypatch):
+    """The benchmark tracer keeps one span stack per process, so only the
+    calling thread may run the functions it wraps: install its targets with
+    wrappers that record the thread, and run every suite on two workers at
+    several chunks per cell."""
+    tracer = _load_tracing().Tracer()
+    calls = []
+
+    def record(group, fn, hook=None):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((group, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    tracer._wrap = record
+    tracer._count_probe = functools.partial(record, "opnorm._ratio")
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(martingale, "CHUNK_BYTES", 8 * 8 << 6)
+    threads = _fold_threads(monkeypatch)
+    tracer.install()
+    try:
+        for name in THEOREM_NAMES:
+            # through the module: the tracer rebinds haarlab's own names only
+            studies.theorem_suite(name, SUITE_FAMILIES[1:3], [5, 6], n_random=2)
+    finally:
+        tracer.uninstall()
+    assert len(set(threads)) > 1  # a helper thread folded chunks
+    groups = {group for group, _ in calls}
+    assert {"studies.theorem_suite", "studies.default_shift_battery"} <= groups
+    off_main = {group for group, thread in calls if thread is not threading.main_thread()}
+    assert not off_main
 
 
 def test_suite_maxima_helper_errors_reach_the_caller(monkeypatch):
+    # chunks of three rows over two workers: worker 1 folds chunks 1 and 3,
+    # and chunk 1 alone has a row to skip, so only its coefficients have
+    # two rows
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(martingale, "CHUNK_BYTES", 3 * 8 << 5)
     mu = generate("random_doubling", 5, seed=1)
     battery = default_shift_battery(5)
     raised_on = []
 
     class Broken:
         def apply_rows(self, coeffs):
-            raised_on.append(threading.current_thread())
-            raise RuntimeError("broken shift")
+            if len(coeffs) == 2:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("broken shift")
+            return battery["petermichl"].apply_rows(coeffs)
 
-    battery["petermichl_adj"] = Broken()  # the second shift: worker 1's share
-    F = probe_battery(mu, 1, n_random=1)
+    battery["broken"] = Broken()
+    F = probe_battery(mu, 1, n_random=1)[:12]
+    denoms = np.ones(len(F))
+    denoms[4] = 0.0
     with pytest.raises(RuntimeError, match="broken shift"):
-        studies._suite_maxima(battery, mu, F, np.ones(len(F)), NormSpec("bmo"))
-    assert raised_on and raised_on[0] is not threading.main_thread()
+        studies._suite_maxima(battery, mu, F, denoms.__getitem__, NormSpec("bmo"))
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
 
 
 def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
@@ -280,7 +379,7 @@ def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
             inputs, denoms = probes, replace(source, alpha=0.5).evaluate_rows(probes, mu)
         evaluated.clear()
         monkeypatch.setattr(NormSpec, "evaluate_rows", counting)
-        studies._suite_maxima(battery, mu, inputs, denoms, target)
+        studies._suite_maxima(battery, mu, inputs, denoms.__getitem__, target)
         monkeypatch.undo()
         total = len(battery) * np.count_nonzero((denoms > 0) & np.isfinite(denoms))
         if source is None:

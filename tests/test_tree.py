@@ -10,6 +10,7 @@ from haarlab.tree import (
     TreeError,
     aggregate,
     aggregate_heap,
+    heap_levels,
     heap_nodes,
     heap_positions,
     leaf_broadcast,
@@ -66,6 +67,13 @@ def test_array_forms_match_node_forms():
         assert [tree.node_at(p) for p in pos.tolist()] == nodes
     outside = heap_positions([-1, 5, 2, 2, 4], [0, 0, -1, 4, 16], 4)
     assert outside.tolist() == [0] * 5
+
+
+def test_heap_levels_near_float_precision():
+    # float64 rounds positions from 2**53 up, some to the next power of two
+    edges = [(1 << k) + d for k in (52, 53, 54, 62) for d in (-2, -1, 0, 1, 2)]
+    pos = np.array([1, 2, 3] + edges + [(1 << 63) - 1], dtype=np.int64)
+    assert heap_levels(pos).tolist() == [p.bit_length() - 1 for p in pos.tolist()]
 
 
 def test_leaf_range(tree):
