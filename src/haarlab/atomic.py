@@ -32,12 +32,16 @@ class Subatom(NamedTuple):
 class AtomicBlock:
     """b = sum_j weight_j a_j with supp(a_j) in I_j, level(I_j) >= base_level,
     size bound ||a_j||_p <= mu(I_j)^(-1/p') / (level(I_j) - base_level + 1),
-    and E_{base_level} b = 0.
+    and E_{base_level} b = 0.  The exponent p lies in (1, inf).
     """
 
     base_level: int
     p: float
     subatoms: tuple[Subatom, ...]
+
+    def __post_init__(self) -> None:
+        if not 1.0 < self.p < np.inf:  # NaN fails too
+            raise NormError(f"block exponent must lie in (1, inf), got {self.p}")
 
     def function(self, depth: int) -> StepFunction:
         total = StepFunction.zero(depth)
@@ -60,14 +64,17 @@ class BlockValidation:
 
 
 def validate_block(block: AtomicBlock, mu: MeasureTree) -> BlockValidation:
-    """Check all three block conditions; reports violations, never raises."""
+    """Check all three block conditions; reports violations, never raises.
+    A subatom node outside the tree violates the support condition, and a
+    subatom function of another depth violates it and the mean condition."""
     tree = mu.tree
     p = block.p
     pprime = p / (p - 1.0)
     support_bad: list[int] = []
     size_bad: list[int] = []
     for i, sa in enumerate(block.subatoms):
-        if sa.node.level < block.base_level:
+        on_tree = tree.contains(sa.node) and sa.func.depth == mu.depth
+        if not on_tree or sa.node.level < block.base_level:
             support_bad.append(i)
             continue
         lo, hi = tree.leaf_range(sa.node)
@@ -80,10 +87,13 @@ def validate_block(block: AtomicBlock, mu: MeasureTree) -> BlockValidation:
         if lp_norm(sa.func, mu, p) > bound * (1.0 + TOL):
             size_bad.append(i)
 
-    b = block.function(mu.depth)
-    mean_part = expectation(b, mu, block.base_level)
-    scale = max(float(np.max(np.abs(b.values))), 1.0)
-    mean_bad = bool(np.max(np.abs(mean_part.values)) > TOL * scale)
+    mean_bad = any(sa.func.depth != mu.depth for sa in block.subatoms)
+    if not mean_bad:
+        b = block.function(mu.depth)
+        # E_k is E_0 for a base level above the root, the identity below the leaves
+        mean_part = expectation(b, mu, min(max(block.base_level, 0), mu.depth))
+        scale = max(float(np.max(np.abs(b.values))), 1.0)
+        mean_bad = bool(np.max(np.abs(mean_part.values)) > TOL * scale)
     return BlockValidation(
         valid=not (support_bad or size_bad or mean_bad),
         support_violations=tuple(support_bad),
@@ -100,13 +110,11 @@ def haar_block(mu: MeasureTree, node: Node, p: float = 2.0) -> AtomicBlock:
     its weight certifies the upper bound |h_I|_atb <= weight; for p = 2
     the weight is mu(I)^(1/2).
     """
-    if not 1.0 < p < np.inf:
-        raise NormError(f"block exponent must lie in (1, inf), got {p}")
     if mu.tree.is_leaf(node):
         raise TreeError(f"no Haar function at leaf {node}")
     h = haar_function(mu, node)
-    pprime = p / (p - 1.0)
-    gamma = lp_norm(h, mu, p) * mu.mass(node) ** (1.0 / pprime)
+    # 1/p' = (p - 1)/p; building the block checks the exponent
+    gamma = lp_norm(h, mu, p) * mu.mass(node) ** ((p - 1.0) / p)
     return AtomicBlock(
         base_level=node.level,
         p=p,
@@ -146,9 +154,8 @@ def random_block(
     for i in picks:
         node = mu.tree.node_at((1 << base_level) + int(i))
         b = haar_block(mu, node)
-        b = AtomicBlock(base_level, b.p, b.subatoms)  # rebase to the shared level
-        # rebasing tightens the size budget by 1/(level - base + 1); shrink
-        # the subatom and grow its weight to keep the same function
+        # rebased to the shared level, the size budget tightens by
+        # 1/(level - base + 1): shrink the subatom, grow its weight
         penalty = node.level - base_level + 1
         sa = b.subatoms[0]
         b = AtomicBlock(

@@ -22,7 +22,7 @@ from .atomic import atb_upper_bound
 from .measure import GENERATORS, MeasureError, family_params, generate
 from .norms import NORMS, NormError, NormSpec
 from .shift import ShiftError, apply_shift
-from .studies import blowup_study, rows_to_csv, theorem_suite, THEOREM_NAMES
+from .studies import SUITES, blowup_study, rows_to_csv, theorem_suite, THEOREM_NAMES
 from .tree import TreeError
 from .verify import run_verification
 
@@ -62,10 +62,19 @@ def _emit(payload: str, out: str | None, config: dict) -> None:
 FAMILY_FLAGS = tuple(dict.fromkeys(k for kind in GENERATORS for k in family_params(kind)))
 # norm flags of `haarlab norm`: every parameter some table norm takes
 NORM_FLAGS = tuple(dict.fromkeys(k for entry in NORMS.values() for k in entry.params))
+# flags of `study`, and their defaults where the study reads them
+STUDY_DEFAULTS = {"alpha": 0.5, "trials": 12}
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
+
+
+def _reject_untaken(given: dict, takes, owner: str) -> None:
+    """A flag in `given` that `takes` lacks is a parameter error."""
+    unused = [k for k in given if k not in takes]
+    if unused:
+        raise CliError(EXIT_PARAM, f"{', '.join(map(_flag, unused))} not taken by {owner}")
 
 
 def _families_from_args(kinds: list[str], args) -> list[dict]:
@@ -73,12 +82,7 @@ def _families_from_args(kinds: list[str], args) -> list[dict]:
     that no kind takes is a parameter error."""
     takes = {kind: family_params(kind) for kind in kinds}
     given = {k: getattr(args, k) for k in FAMILY_FLAGS if getattr(args, k) is not None}
-    unused = [k for k in given if not any(k in t for t in takes.values())]
-    if unused:
-        raise CliError(
-            EXIT_PARAM,
-            f"{', '.join(map(_flag, unused))} not taken by family {', '.join(kinds)}",
-        )
+    _reject_untaken(given, {k for t in takes.values() for k in t}, f"family {', '.join(kinds)}")
     return [
         {"kind": kind} | {k: v for k, v in given.items() if k in takes[kind]}
         for kind in kinds
@@ -103,7 +107,7 @@ def cmd_measure(args) -> int:
         try:
             [fam] = _families_from_args([args.kind], args)
             mu = generate(depth=args.depth, seed=args.seed, **fam)
-        except ValueError as exc:  # a MeasureError, or a depth numpy cannot allocate
+        except (ValueError, MemoryError) as exc:  # a MeasureError, or a depth too deep to allocate
             raise CliError(EXIT_INPUT, f"invalid measure spec: {exc}")
         rep = mu.balanced_constant()
         if args.out:
@@ -155,11 +159,7 @@ def cmd_norm(args) -> int:
     name = args.norm.replace("-", "_")
     takes = NORMS[name].params if name in NORMS else ()  # atb-upper takes none
     given = {k: getattr(args, k) for k in NORM_FLAGS if getattr(args, k) is not None}
-    unused = [k for k in given if k not in takes]
-    if unused:
-        raise CliError(
-            EXIT_PARAM, f"{', '.join(map(_flag, unused))} not taken by --norm {args.norm}"
-        )
+    _reject_untaken(given, takes, f"--norm {args.norm}")
     if args.norm == "atb-upper":
         # atb-upper takes no parameters: a function it cannot bound is an
         # input error
@@ -204,22 +204,28 @@ def cmd_study(args) -> int:
     kinds = args.family or ["lebesgue"]
     if args.kind == "blowup" and len(kinds) > 1:
         raise CliError(EXIT_PARAM, "study blowup takes one --family")
+    given = {k: getattr(args, k) for k in STUDY_DEFAULTS if getattr(args, k, None) is not None}
+    reads = {"alpha"}  # blowup's
+    if args.kind == "theorem":
+        # a suite reads its norms' flags, and trials where a source norm means probes
+        source, target = SUITES[args.name]
+        reads = {k for spec in (source, target) if spec for k in NORMS[spec.name].params}
+        if source is not None:
+            reads.add("trials")
+        _reject_untaken(given, reads, f"suite {args.name}")
+    flags = STUDY_DEFAULTS | given
     try:
         families = _families_from_args(kinds, args)
         if args.kind == "blowup":
-            rows = blowup_study(families[0], args.alpha, depths, seed=args.seed)
+            rows = blowup_study(families[0], flags["alpha"], depths, seed=args.seed)
         else:
             rows = theorem_suite(
-                args.name,
-                families,
-                depths,
-                seed=args.seed,
-                alpha=args.alpha,
-                n_random=args.trials,
+                args.name, families, depths, args.seed, flags["alpha"], flags["trials"]
             )
-    except (MeasureError, ValueError) as exc:
+    except (MeasureError, ValueError, MemoryError) as exc:
         raise CliError(EXIT_PARAM, f"invalid study config: {exc}")
     config = {k: v for k, v in vars(args).items() if not callable(v)}
+    config |= {k: flags[k] if k in reads else None for k in STUDY_DEFAULTS if hasattr(args, k)}
     _emit(rows_to_csv(rows), args.out, config | {"command": f"study {args.kind}"})
     return EXIT_OK
 
@@ -227,7 +233,7 @@ def cmd_study(args) -> int:
 def cmd_verify(args) -> int:
     try:
         results = run_verification(depth=args.depth, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a bad config, or a depth too deep to allocate
         raise CliError(EXIT_PARAM, f"invalid verify config: {exc}")
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -301,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", action="append", default=None)
         p.add_argument("--depths", required=True, help="range a:b")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--alpha", type=float, default=None)  # STUDY_DEFAULTS
         _add_family_flags(p)
         p.add_argument("--out", default=None)
         if kind == "theorem":
             p.add_argument("--name", required=True, choices=list(THEOREM_NAMES))
-            p.add_argument("--trials", type=int, default=12)
+            p.add_argument("--trials", type=int, default=None)
         p.set_defaults(handler=cmd_study)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")

@@ -12,7 +12,8 @@ one-function result.  The one-function API (`StepFunction`, `HaarSpectrum`,
 `analyze`, `synthesize`, ...) passes its single row as a 1-d array, which
 the same code takes as a batch without the leading axis.  Callers with many
 functions stack them and walk the stack in chunks (`row_chunks`) of at
-most CHUNK_BYTES.
+most CHUNK_BYTES; the max-ratio fold over such chunks, with its tie-break,
+is `opnorm.battery_maxima`.
 """
 
 from __future__ import annotations
@@ -117,12 +118,6 @@ def row_chunks(n_rows: int, depth: int) -> Iterator[slice]:
     step = _chunk_rows(depth)
     for start in range(0, n_rows, step):
         yield slice(start, start + step)
-
-
-def first_max(values: np.ndarray) -> int:
-    """Index of the first maximum, where a NaN never wins: the element a
-    running `if v > best` fold over `values` in order would end on."""
-    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
 
 
 def average_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:

@@ -10,10 +10,9 @@ row of a (P, 2**depth) array, see `martingale`); the one-function forms
 BMO and Lambda_q(alpha) also have a cheap certified upper bound per row
 (`bmo_upper_rows`, `lambda_upper_rows`), taken on the Haar coefficients of
 a mean-zero image rather than on its leaf values: a bound on the value the
-kernel *computes* on the synthesized image, rounding included.  The one
-max-ratio fold, `opnorm.battery_maxima`, skips every image whose bound lies
-below a value already attained and never synthesizes it
-(`contending_ratios`); such an image provably cannot raise the maximum.
+kernel *computes* on the synthesized image, rounding included.  This module
+holds only the norms and their bounds; how rows are scored against a
+running maximum, and which are skipped, is `opnorm.battery_maxima`'s.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ import numpy as np
 from .martingale import (
     StepFunction,
     average_heap,
-    first_max,
     average_rows,
     square_function_rows,
-    synthesize_rows,
 )
 from .measure import MeasureTree
 from . import tree as _tree
@@ -454,8 +451,7 @@ class NormSpec:
     def upper_rows(self, B: np.ndarray, mu: MeasureTree) -> np.ndarray | None:
         """A certified upper bound on what `evaluate_rows` computes for the
         image `synthesize_rows(0.0, b, mu)` of every row b of the coefficient
-        heaps B, or None where the norm has no bound.  A row whose bound lies
-        below a value already attained cannot attain or exceed it."""
+        heaps B, or None where the norm has no bound."""
         params = self.params()
         upper = NORMS[self.name].upper
         return None if upper is None else upper(B, mu, **params)
@@ -474,41 +470,3 @@ class NormSpec:
     def label(self) -> str:
         params = ",".join(f"{k}={v:g}" for k, v in self.params().items())
         return f"{self.name}[{params}]" if params else self.name
-
-
-def contending_ratios(
-    target: NormSpec, coeffs: np.ndarray, mu: MeasureTree, denoms: np.ndarray, bar: float
-) -> np.ndarray:
-    """target(g) / denom for every image g = synthesize_rows(0.0, b, mu) of
-    a row b of the coefficient heaps `coeffs` that can still beat the
-    running maximum `bar`, and -inf for every other row; every denominator
-    is finite and positive.  Its one caller is `opnorm.battery_maxima`.
-
-    Where the target has a certified upper bound (`NormSpec.upper_rows`,
-    taken on the coefficients), the row with the largest finite bound ratio
-    is synthesized and evaluated first and may raise the bar; then, in one
-    batch, every row whose bound ratio is not below the bar.  No other row
-    is synthesized.  Rounding is monotone, so a skipped row's ratio is at
-    most its bound ratio, which lies strictly below a ratio already
-    attained: each skipped row is certified neither to raise the maximum
-    nor to tie it.  A target without a bound has every row synthesized and
-    evaluated."""
-    upper = target.upper_rows(coeffs, mu)
-    bounds = np.full(len(coeffs), np.inf) if upper is None else upper / denoms
-    ratios = np.full(len(coeffs), -np.inf)
-
-    def evaluate(rows) -> np.ndarray:
-        images = synthesize_rows(0.0, coeffs[rows], mu)
-        return target.evaluate_rows(images, mu) / denoms[rows]
-
-    done = np.zeros(len(coeffs), dtype=bool)
-    finite = np.isfinite(bounds)
-    if finite.any():
-        lead = first_max(np.where(finite, bounds, -np.inf))
-        ratios[lead] = evaluate(slice(lead, lead + 1))[0]
-        bar = max(bar, ratios[lead])  # a NaN ratio leaves the bar as it is
-        done[lead] = True
-    todo = ~(bounds < bar) & ~done
-    if todo.any():
-        ratios[todo] = evaluate(todo)
-    return ratios

@@ -1,6 +1,7 @@
 """Operator-norm estimation: exact L2 norms by power iteration on the sparse
 Haar-domain matrix, dense SVD cross-checks, and certified lower bounds for
-non-Hilbertian norm pairs via probe batteries and greedy ascent.
+non-Hilbertian norm pairs via probe batteries and greedy ascent.  Its
+`battery_maxima` is the one max-ratio fold, for the theorem suites too.
 
 Every estimate carries a witness function; the reported value is always the
 re-evaluated ratio of the witness, so estimates can be reproduced
@@ -20,13 +21,12 @@ from .martingale import (
     StepFunction,
     _chunk_rows,
     analyze_rows,
-    first_max,
     row_chunks,
     synthesize,
     synthesize_rows,
 )
 from .measure import MeasureTree
-from .norms import NormSpec, contending_ratios
+from .norms import NormSpec
 from .shift import GeneralShift, haar_matrix
 from .tree import Node, heap_levels
 
@@ -102,6 +102,21 @@ def _usable(denoms: np.ndarray) -> np.ndarray:
     return np.flatnonzero((denoms > 0.0) & np.isfinite(denoms))
 
 
+def first_max(values: np.ndarray) -> int:
+    """Index of the first maximum, where a NaN never wins: the element a
+    running `if v > best` fold over `values` in order would end on."""
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
+def _image_ratios(
+    target: NormSpec, B: np.ndarray, rows, mu: MeasureTree, d: np.ndarray
+) -> np.ndarray:
+    """target(g) / d[rows] for the images g = synthesize_rows(0.0, B[rows],
+    mu), the fold's and the ascent's one step; the rows B[rows] are freed
+    once synthesized, before the images are evaluated."""
+    return target.evaluate_rows(synthesize_rows(0.0, B[rows], mu), mu) / d[rows]
+
+
 def _ratio_rows(
     T: GeneralShift, F: np.ndarray, mu: MeasureTree, from_norm: NormSpec, to_norm: NormSpec
 ) -> np.ndarray:
@@ -111,9 +126,8 @@ def _ratio_rows(
     ok = _usable(denoms)
     out = np.full(len(F), -np.inf)
     if ok.size:
-        _, coeffs = analyze_rows(F[ok], mu)
-        images = synthesize_rows(0.0, T.apply_rows(coeffs), mu)
-        out[ok] = to_norm.evaluate_rows(images, mu) / denoms[ok]
+        shifted = T.apply_rows(analyze_rows(F[ok], mu)[1])
+        out[ok] = _image_ratios(to_norm, shifted, slice(None), mu, denoms[ok])
     return out
 
 
@@ -131,20 +145,36 @@ def battery_maxima(
     positive, and the first row f that attains it; (-inf, None) where no
     ratio beats -inf.  A NaN ratio never wins.
 
-    Each chunk is analyzed once for all shifts, and each shift's
-    coefficients go to `norms.contending_ratios` against that shift's
-    maximum so far: a row certified to lie below it is never synthesized,
-    and a row that ties it is evaluated, so the maxima and rows are those
-    of scoring every row in order."""
+    This fold alone decides which rows are evaluated.  Each chunk is
+    analyzed once for all shifts.  Per shift, where the target has a
+    certified bound on the shifted heaps (`NormSpec.upper_rows`), the row
+    with the largest finite bound ratio is evaluated first and may raise the
+    shift's maximum so far; then, in one batch, every row whose bound ratio
+    is not below that maximum.  No other row is synthesized: rounding is
+    monotone, so a skipped row's ratio is at most its bound ratio, strictly
+    below a ratio already attained.  Without a bound every row is evaluated.
+    So the maxima and rows are those of scoring every row in order."""
     best = dict.fromkeys(battery, (-np.inf, None))
     for F, denoms in chunks:
         ok = _usable(denoms)
         if not ok.size:
             continue
         _, coeffs = analyze_rows(F[ok], mu)
+        d = denoms[ok]
         for name, T in battery.items():
+            B = T.apply_rows(coeffs)
+            upper = target.upper_rows(B, mu)
+            bounds = np.full(len(B), np.inf) if upper is None else upper / d
+            ratios, todo = np.full(len(B), -np.inf), np.ones(len(B), dtype=bool)
             bar = best[name][0]
-            ratios = contending_ratios(target, T.apply_rows(coeffs), mu, denoms[ok], bar)
+            lead = first_max(np.where(np.isfinite(bounds), bounds, -np.inf))
+            if np.isfinite(bounds[lead]):
+                ratios[lead] = _image_ratios(target, B, [lead], mu, d)[0]
+                todo[lead] = False
+            todo &= ~(bounds < max(bar, ratios[lead]))  # a NaN ratio leaves the bar
+            if todo.any():
+                ratios[todo] = _image_ratios(target, B, todo, mu, d)
+            del B  # free this shift's heaps before the next shift's are built
             i = first_max(ratios)
             if ratios[i] > bar:
                 best[name] = (float(ratios[i]), F[ok[i]].copy())

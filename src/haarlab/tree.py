@@ -62,11 +62,14 @@ class DyadicTree:
     def n_internal(self) -> int:
         return (1 << self.depth) - 1
 
-    def check(self, node: Node) -> Node:
+    def contains(self, node: Node) -> bool:
         k, j = node
-        if not (0 <= k <= self.depth) or not (0 <= j < (1 << k)):
+        return 0 <= k <= self.depth and 0 <= j < (1 << k)
+
+    def check(self, node: Node) -> Node:
+        if not self.contains(node):
             raise TreeError(f"node {node} outside tree of depth {self.depth}")
-        return Node(k, j)
+        return Node(*node)
 
     def heap(self, node: Node) -> int:
         self.check(node)

@@ -47,6 +47,30 @@ def test_haar_block_errors(mu):
         haar_block(mu, Node(1, 0), p=1.0)
 
 
+def test_block_exponent_checked_at_construction(mu):
+    # p = 1 used to reach the validator and divide by zero there
+    for p in (1.0, 0.5, np.inf, np.nan):
+        with pytest.raises(NormError, match="block exponent"):
+            AtomicBlock(1, p, ())
+        with pytest.raises(NormError):
+            haar_block(mu, Node(1, 0), p=p)
+
+
+def test_validator_reports_malformed_subatoms(mu):
+    # each of these used to raise from inside the validator
+    block = haar_block(mu, Node(2, 1))
+    sa = block.subatoms[0]
+    below = Subatom(sa.weight, sa.func, Node(mu.depth + 1, 0))
+    v = validate_block(AtomicBlock(2, 2.0, (sa, below)), mu)
+    assert not v.valid and v.support_violations == (1,) and not v.mean_violation
+    other_depth = Subatom(1.0, StepFunction.zero(mu.depth + 1), Node(2, 1))
+    v = validate_block(AtomicBlock(2, 2.0, (sa, other_depth)), mu)
+    assert not v.valid and v.support_violations == (1,) and v.mean_violation
+    # a base level below the leaves: no node qualifies, and E_k b = b
+    v = validate_block(AtomicBlock(mu.depth + 1, 2.0, block.subatoms), mu)
+    assert not v.valid and v.support_violations == (0,) and v.mean_violation
+
+
 def test_validator_flags(mu):
     node = Node(2, 1)
     block = haar_block(mu, node)

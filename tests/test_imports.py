@@ -6,7 +6,9 @@ No linter ships with the toolchain, so these are the unused-import and
 dead-definition checks.  `__init__.py` is exempt from the import check: its
 imports are the package's re-exports.  One more check keeps the file
 formats in `io`: no other module defines JSON code, and only `io` and
-`cli` import a JSON library.
+`cli` import a JSON library.  Another keeps the max-ratio fold in `opnorm`:
+no other module calls a norm's certified bound, and `norms` imports neither
+the synthesis nor the tie-break that scoring needs.
 """
 
 import ast
@@ -293,3 +295,43 @@ def test_only_io_knows_file_formats(path):
         assert json_definitions(source) == []
     if path.name not in JSON_IMPORTERS:
         assert json_imports(source) == []
+
+
+# the one module that scores rows against a running maximum, and the names
+# that only it may call or import to do so
+FOLD_OWNER = "opnorm.py"
+
+
+def called_names(source: str) -> set[str]:
+    """The bare or attribute names of every call."""
+    return {
+        name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (name := _call_name(node)) is not None
+    }
+
+
+def imported_names(source: str) -> set[str]:
+    """The names bound by every from-import."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_checker_flags_fold_code():
+    source = "from .martingale import first_max as fm, synthesize_rows\n" \
+        "def f(spec, B, mu):\n    return spec.upper_rows(B, mu), upper_rows(B)\n"
+    assert called_names(source) == {"upper_rows"}
+    assert imported_names(source) == {"first_max", "synthesize_rows"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_opnorm_scores_rows_against_a_maximum(path):
+    source = path.read_text()
+    if path.name != FOLD_OWNER:
+        assert "upper_rows" not in called_names(source)
+    if path.name == "norms.py":
+        assert {"synthesize_rows", "first_max"}.isdisjoint(imported_names(source))

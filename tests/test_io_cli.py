@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarlab import cli, studies, verify
 from haarlab import io as hio
 from haarlab.atomic import atb_upper_bound
 from haarlab.cli import build_parser, main
@@ -860,6 +861,28 @@ def test_cli_measure_gen_too_deep_to_allocate_exits_2(capsys, depth):
     assert capsys.readouterr().err.startswith("error: invalid measure spec: ")
 
 
+def test_cli_refused_allocation_is_a_config_error(monkeypatch, capsys):
+    # where the kernel refuses an allocation numpy raises MemoryError, which
+    # used to end these commands with a traceback and exit 1; forced here,
+    # since a real attempt at depth 40 asks for terabytes
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    monkeypatch.setattr(studies, "generate", refuse)
+    monkeypatch.setattr(verify, "random_doubling", refuse)
+    for argv, code, message in [
+        (["measure", "gen", "--kind", "lebesgue", "--depth", "40"], 2, "invalid measure spec"),
+        (["study", "theorem", "--name", "BMOtoBMO", "--depths", "40:40"], 3, "invalid study config"),
+        (["study", "blowup", "--family", "lebesgue", "--depths", "40:40"], 3, "invalid study config"),
+        (["verify", "--depth", "40", "--trials", "1"], 3, "invalid verify config"),
+    ]:
+        assert main(argv) == code
+        assert capsys.readouterr().err == (
+            f"error: {message}: Unable to allocate 8.00 TiB for an array\n"
+        )
+
+
 def test_cli_bad_shift_files_exit_2(tmp_path, capsys):
     mu_path = _gen_measure(tmp_path, depth=3)
     f_path = _save_function(tmp_path, mu_path)
@@ -1014,6 +1037,40 @@ def test_cli_study_alpha_must_be_finite(capsys):
         assert main(argv + ["--alpha", "inf"]) == 3
         assert "alpha must be a finite real >= 0" in capsys.readouterr().err
         assert main(argv + ["--alpha", "2"]) == 0
+
+
+def test_cli_study_theorem_flags_must_be_read(tmp_path, capsys):
+    # --alpha reaches only the Lambda suite and --trials only the suites with
+    # a probe battery; elsewhere each was accepted and changed nothing
+    base = ["study", "theorem", "--family", "lebesgue", "--depths", "4:4"]
+    for name, flags, unread in [
+        ("BMOtoBMO", ["--alpha", "inf"], "--alpha"),
+        ("LInfBMO", ["--alpha", "0.25"], "--alpha"),
+        ("H1L1", ["--trials", "3"], "--trials"),
+        ("H1H1", ["--alpha", "0.5", "--trials", "12"], "--alpha, --trials"),
+    ]:
+        assert main(base + ["--name", name] + flags) == 3
+        assert capsys.readouterr().err == f"error: {unread} not taken by suite {name}\n"
+    # the manifest records the flags a suite read, defaulted or given, and
+    # null for the others; the defaults are those of giving 0.5 and 12
+    out, manifest = tmp_path / "s.csv", tmp_path / "s.csv.manifest.json"
+    for name, flags, resolved in [
+        ("TheoremB", [], [0.5, 12]),
+        ("BMOtoBMO", [], [None, 12]),
+        ("H1L1", [], [None, None]),
+        ("TheoremB", ["--alpha", "0.25", "--trials", "2"], [0.25, 2]),
+    ]:
+        assert main(base + ["--name", name, "--out", str(out)] + flags) == 0
+        config = json.loads(manifest.read_text())
+        assert [config["alpha"], config["trials"]] == resolved
+    defaulted = tmp_path / "d.csv"
+    assert main(base + ["--name", "TheoremB", "--out", str(defaulted)]) == 0
+    assert main(base + ["--name", "TheoremB", "--alpha", "0.5", "--trials", "12",
+                        "--out", str(out)]) == 0
+    assert out.read_bytes() == defaulted.read_bytes()
+    blowup = ["study", "blowup", "--family", "lebesgue", "--depths", "4:4", "--out", str(out)]
+    assert main(blowup) == 0
+    assert json.loads(manifest.read_text())["alpha"] == 0.5
 
 
 def test_cli_study_blowup_takes_one_family():

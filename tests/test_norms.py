@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from haarlab import norms, verify
+from haarlab import verify
 from haarlab.martingale import (
     StepFunction,
     average_heap,
@@ -335,45 +335,6 @@ def test_upper_bounds_admit_ordinary_rows():
     assert NormSpec("bmo").upper_rows(e_I, mu) == pytest.approx(bmo_rows(h, mu), rel=1e-8)
     with pytest.raises(NormError, match="alpha must be a finite real"):
         NormSpec("lambda", alpha=np.inf).upper_rows(e_I, mu)
-
-
-def test_contending_ratios_synthesize_only_contenders(monkeypatch):
-    """One `contending_ratios` call synthesizes the lead row, then the rows
-    whose bound ratio is not below the bar that the lead row leaves, and no
-    other row; those rows get the ratios of evaluating every image."""
-    mu = generate("random_doubling", 6, seed=2)
-    rng = np.random.default_rng(2)
-    B = rng.standard_normal((40, 64))
-    target = NormSpec("lambda", alpha=0.5)
-    upper = target.upper_rows(B, mu)
-    values = target.evaluate_rows(synthesize_rows(0.0, B, mu), mu)
-    # bound ratios spread over [1/2, 1], and the loosest bound leads at 1.05
-    denoms = upper * rng.uniform(1.0, 2.0, 40)
-    loose = np.argmax(upper / values)
-    denoms[loose] = upper[loose] / 1.05
-    bounds, full = upper / denoms, values / denoms
-    synthesized = []
-
-    def spy(means, coeffs, mu):
-        synthesized.append(coeffs.copy())
-        return synthesize_rows(means, coeffs, mu)
-
-    # contending_ratios calls martingale.synthesize_rows through its name in norms
-    monkeypatch.setattr(norms, "synthesize_rows", spy)
-    bar = 0.5 * full.max()
-    ratios = norms.contending_ratios(target, B, mu, denoms, bar)
-    lead = int(np.argmax(bounds))
-    assert lead == loose
-    contenders = np.flatnonzero(bounds >= max(bar, full[lead]))
-    contenders = contenders[contenders != lead]
-    assert 0 < len(contenders) < len(B) - 1
-    assert len(synthesized) == 2
-    assert np.array_equal(synthesized[0], B[lead : lead + 1])
-    assert np.array_equal(synthesized[1], B[contenders])
-    evaluated = np.append(lead, contenders)
-    assert np.array_equal(ratios[evaluated], full[evaluated])
-    assert np.all(np.delete(ratios, evaluated) == -np.inf)
-    assert ratios.max() == full.max()
 
 
 # --- reference level loops ------------------------------------------------

@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarlab import martingale, opnorm, studies
-from haarlab.martingale import StepFunction, _chunk_rows, haar_function
+from haarlab.martingale import (
+    StepFunction,
+    _chunk_rows,
+    analyze_rows,
+    haar_function,
+    synthesize_rows,
+)
 from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import NormSpec, lp_norm
 from haarlab.opnorm import (
+    first_max,
     l2_opnorm,
     node_probe_rows,
     opnorm_lower_bound,
@@ -115,6 +122,52 @@ def test_lower_bound_validation(mu):
     # a negative step count would skip every ascent without a word
     with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
         opnorm_lower_bound(T, mu, l2, l2, budget=1, ascent_steps=-3)
+
+
+def test_battery_maxima_synthesizes_only_contenders(monkeypatch):
+    """Against the bar that an earlier chunk leaves, the fold synthesizes a
+    chunk's lead row, then the rows whose bound ratio is not below the bar
+    the lead row leaves, and no other row; its maximum and row are those of
+    evaluating every image."""
+    mu = generate("random_doubling", 6, seed=2)
+    rng = np.random.default_rng(2)
+    F = rng.standard_normal((40, 64))
+    T = petermichl(mu.depth)
+    target = NormSpec("lambda", alpha=0.5)
+    B = T.apply_rows(analyze_rows(F, mu)[1])
+    upper = target.upper_rows(B, mu)
+    values = target.evaluate_rows(synthesize_rows(0.0, B, mu), mu)
+    # bound ratios spread over [1/2, 1], and the loosest bound leads at 1.05
+    denoms = upper * rng.uniform(1.0, 2.0, 40)
+    loose = np.argmax(upper / values)
+    denoms[loose] = upper[loose] / 1.05
+    bounds, full = upper / denoms, values / denoms
+    # a first one-row chunk leaves the bar near half the second's maximum
+    first = (F[:1], values[:1] / (0.5 * full.max()))
+    bar = opnorm.battery_maxima({"T": T}, mu, [first], target)["T"][0]
+    synthesized = []
+
+    def spy(means, coeffs, mu):
+        synthesized.append(coeffs.copy())
+        return synthesize_rows(means, coeffs, mu)
+
+    # the fold calls martingale.synthesize_rows through its name in opnorm
+    monkeypatch.setattr(opnorm, "synthesize_rows", spy)
+    value, row = opnorm.battery_maxima({"T": T}, mu, [first, (F, denoms)], target)["T"]
+    lead = int(np.argmax(bounds))
+    assert lead == loose
+    contenders = np.flatnonzero(bounds >= max(bar, full[lead]))
+    contenders = contenders[contenders != lead]
+    assert 0 < len(contenders) < len(B) - 1
+    # one row for the first chunk, then the lead row, then the contenders
+    assert len(synthesized) == 3
+    assert np.array_equal(synthesized[1], B[lead : lead + 1])
+    assert np.array_equal(synthesized[2], B[contenders])
+    assert value == full.max() and np.array_equal(row, F[first_max(full)])
+    # evaluating every image gives the same maximum and row
+    monkeypatch.setattr(NormSpec, "upper_rows", lambda self, B, mu: None)
+    unbounded = opnorm.battery_maxima({"T": T}, mu, [first, (F, denoms)], target)["T"]
+    assert unbounded[0] == value and np.array_equal(unbounded[1], row)
 
 
 def test_deterministic_probe_order(monkeypatch):
