@@ -12,6 +12,7 @@ from .atomic import (
 )
 from .martingale import (
     HaarSpectrum,
+    NonFiniteError,
     StepFunction,
     analyze,
     average,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .martingale import StepFunction, analyze, expectation, haar_function
+from .martingale import NonFiniteError, StepFunction, analyze, expectation, haar_function
 from .measure import MeasureTree
 from .norms import NormError, lp_norm
 from .tree import Node, TreeError
@@ -28,6 +28,11 @@ class Subatom(NamedTuple):
     node: Node  # I_j
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 < p < np.inf:  # NaN fails too
+        raise NormError(f"block exponent must lie in (1, inf), got {p}")
+
+
 @dataclass(frozen=True)
 class AtomicBlock:
     """b = sum_j weight_j a_j with supp(a_j) in I_j, level(I_j) >= base_level,
@@ -40,8 +45,7 @@ class AtomicBlock:
     subatoms: tuple[Subatom, ...]
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.p < np.inf:  # NaN fails too
-            raise NormError(f"block exponent must lie in (1, inf), got {self.p}")
+        _check_exponent(self.p)
 
     def function(self, depth: int) -> StepFunction:
         total = StepFunction.zero(depth)
@@ -89,11 +93,15 @@ def validate_block(block: AtomicBlock, mu: MeasureTree) -> BlockValidation:
 
     mean_bad = any(sa.func.depth != mu.depth for sa in block.subatoms)
     if not mean_bad:
-        b = block.function(mu.depth)
-        # E_k is E_0 for a base level above the root, the identity below the leaves
-        mean_part = expectation(b, mu, min(max(block.base_level, 0), mu.depth))
-        scale = max(float(np.max(np.abs(b.values))), 1.0)
-        mean_bad = bool(np.max(np.abs(mean_part.values)) > TOL * scale)
+        try:
+            b = block.function(mu.depth)
+            # E_k is E_0 for a base level above the root, the identity below the leaves
+            mean_part = expectation(b, mu, min(max(block.base_level, 0), mu.depth))
+        except NonFiniteError:  # b or its averages overflow: E_k b = 0 is unverifiable
+            mean_bad = True
+        else:
+            scale = max(float(np.max(np.abs(b.values))), 1.0)
+            mean_bad = bool(np.max(np.abs(mean_part.values)) > TOL * scale)
     return BlockValidation(
         valid=not (support_bad or size_bad or mean_bad),
         support_violations=tuple(support_bad),
@@ -112,8 +120,9 @@ def haar_block(mu: MeasureTree, node: Node, p: float = 2.0) -> AtomicBlock:
     """
     if mu.tree.is_leaf(node):
         raise TreeError(f"no Haar function at leaf {node}")
+    _check_exponent(p)  # before rescaling h_I by a weight that p makes NaN
     h = haar_function(mu, node)
-    # 1/p' = (p - 1)/p; building the block checks the exponent
+    # 1/p' = (p - 1)/p
     gamma = lp_norm(h, mu, p) * mu.mass(node) ** ((p - 1.0) / p)
     return AtomicBlock(
         base_level=node.level,

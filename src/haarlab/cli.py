@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io as hio
 from .atomic import atb_upper_bound
+from .martingale import NonFiniteError
 from .measure import GENERATORS, MeasureError, family_params, generate
 from .norms import NORMS, NormError, NormSpec
 from .shift import ShiftError, apply_shift
@@ -190,10 +191,10 @@ def cmd_apply(args) -> int:
         raise CliError(EXIT_INPUT, str(exc))
     try:
         g = apply_shift(T, f, mu)
+    except NonFiniteError:
+        raise CliError(EXIT_INPUT, "cannot apply shift: the image has non-finite values")
     except (ShiftError, TreeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot apply shift: {exc}")
-    if not np.all(np.isfinite(g.values)):
-        raise CliError(EXIT_INPUT, "cannot apply shift: the image has non-finite values")
     hio.save_function(g, args.out)
     _write_manifest(args.out, vars(args) | {"command": "apply"})
     return EXIT_OK

@@ -167,11 +167,7 @@ def load_measure(path) -> MeasureTree:
 
 def function_from_json(obj: dict) -> StepFunction:
     with _malformed("function"):
-        f = StepFunction(_depth(obj["depth"]), _floats(obj["leaf_values"], "leaf_values"))
-        # StepFunction takes NaN from Python callers; a file may not hold it
-        if not np.all(np.isfinite(f.values)):
-            raise ValueError("leaf values must be finite")
-        return f
+        return StepFunction(_depth(obj["depth"]), _floats(obj["leaf_values"], "leaf_values"))
 
 
 def save_function(f: StepFunction, path) -> None:

@@ -30,9 +30,14 @@ from .tree import DyadicTree, Node, TreeError, aggregate, leaf_broadcast
 CHUNK_BYTES = 1 << 20
 
 
+class NonFiniteError(TreeError):
+    """Leaf values that are not all finite."""
+
+
 @dataclass(frozen=True)
 class StepFunction:
-    """A real function constant on each leaf interval of a depth-D tree."""
+    """A real function constant on each leaf interval of a depth-D tree;
+    every value is finite."""
 
     depth: int
     values: np.ndarray
@@ -43,6 +48,8 @@ class StepFunction:
             raise TreeError(
                 f"expected {1 << self.depth} leaf values, got shape {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            raise NonFiniteError("leaf values must be finite")
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
@@ -114,10 +121,16 @@ def _chunk_rows(depth: int) -> int:
 
 
 def row_chunks(n_rows: int, depth: int) -> Iterator[slice]:
-    """Consecutive slices covering n_rows rows, one chunk each."""
-    step = _chunk_rows(depth)
-    for start in range(0, n_rows, step):
-        yield slice(start, start + step)
+    """Consecutive slices covering n_rows rows in the fewest chunks of at
+    most `_chunk_rows(depth)` rows, whose sizes differ by at most one (the
+    longer ones first)."""
+    n_chunks = -(-n_rows // _chunk_rows(depth))
+    size, longer = divmod(n_rows, max(n_chunks, 1))
+    start = 0
+    for k in range(n_chunks):
+        stop = start + size + (k < longer)
+        yield slice(start, stop)
+        start = stop
 
 
 def average_rows(F: np.ndarray, mu: MeasureTree) -> np.ndarray:
@@ -263,9 +276,13 @@ def square_function(f: StepFunction, mu: MeasureTree) -> StepFunction:
     return StepFunction(mu.depth, square_function_rows(f.values, mu))
 
 
-def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:
+def haar_basis_matrix(mu: MeasureTree, weights: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of all Haar functions: row heap(I) - 1 holds the leaf
-    values of h_I.  Intended for small depths (Gram-matrix checks)."""
+    values of h_I, times the leaf `weights` if given.  The weighted matrix
+    is filled on the supports only, and equals `haar_basis_matrix(mu) *
+    weights` bit for bit for finite weights: each support entry is the same
+    product, and 0 times a finite weight is 0.  Intended for small depths
+    (Gram-matrix checks)."""
     n = 1 << mu.depth
     out = np.zeros((n - 1, n))
     c, mass = mu.haar_constant_heap, mu.mass_heap
@@ -274,8 +291,13 @@ def haar_basis_matrix(mu: MeasureTree) -> np.ndarray:
         # the rows of level k as (node, node's support, child, child's leaves)
         blocks = out[lo - 1 : hi - 1].reshape(lo, lo, 2, n >> (k + 1))
         diag = np.arange(lo)
-        blocks[diag, diag, 0] = (c[lo:hi] / mass[2 * lo : 2 * hi : 2])[:, None]
-        blocks[diag, diag, 1] = -(c[lo:hi] / mass[2 * lo + 1 : 2 * hi : 2])[:, None]
+        left = (c[lo:hi] / mass[2 * lo : 2 * hi : 2])[:, None]
+        right = -(c[lo:hi] / mass[2 * lo + 1 : 2 * hi : 2])[:, None]
+        if weights is not None:
+            w = weights.reshape(lo, 2, n >> (k + 1))
+            left, right = left * w[:, 0], right * w[:, 1]
+        blocks[diag, diag, 0] = left
+        blocks[diag, diag, 1] = right
     return out
 
 

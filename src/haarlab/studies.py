@@ -101,8 +101,8 @@ def blowup_study(
 
 # The one table of boundedness suites: name -> (source norm, target norm).
 # A source of None means the inputs are atomic blocks and the denominator is
-# the block cost (the H1 suites).  The suite's alpha parametrises every norm
-# of the pair that takes it; the Lambda exponent q stays NormSpec's 2.
+# the block cost (the H1 suites).  The suite's alpha parametrises the norms
+# of the pair that take it; the Lambda exponent q stays NormSpec's 2.
 SUITES: dict[str, tuple[NormSpec | None, NormSpec]] = {
     "LInfBMO": (NormSpec("lp", p=np.inf), NormSpec("bmo")),
     "BMOtoBMO": (NormSpec("bmo"), NormSpec("bmo")),
@@ -233,15 +233,21 @@ def theorem_suite(
     n_random: int = 12,
 ) -> list[StudyRow]:
     """Maximum probed ratio per (family, depth, shift) for one boundedness
-    suite, over `default_shift_battery`; `alpha` is the Lipschitz order of
-    the Lambda_2 suites.  Bounded behavior shows up as a stagnating max
-    across depths; blowup families show monotone growth instead."""
+    suite, over `default_shift_battery`.  Bounded behavior shows up as a
+    stagnating max across depths; blowup families show monotone growth
+    instead.
+
+    Every suite accepts both knobs, but only TheoremB reads `alpha` (the
+    Lipschitz order of its Lambda_2 norms), and only the probe suites
+    (LInfBMO, BMOtoBMO, TheoremB) read `n_random`; the H1 suites take
+    atomic blocks."""
     if name not in SUITES:
         raise ValueError(f"unknown theorem suite {name!r}; choose from {THEOREM_NAMES}")
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
     source, target = (
-        None if spec is None else replace(spec, alpha=alpha) for spec in SUITES[name]
+        replace(spec, alpha=alpha) if spec is not None and "alpha" in spec.params() else spec
+        for spec in SUITES[name]
     )
     rows = []
     for family in families:

@@ -6,7 +6,10 @@ function of (depth, trials, seed).
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from .martingale import (
     square_function_martingale,
     synthesize,
 )
-from .measure import random_doubling
+from .measure import MeasureTree, random_doubling
 from .norms import (
     haar_lambda2_norm,
     inner_product,
@@ -28,7 +31,7 @@ from .norms import (
 )
 from .opnorm import l2_opnorm
 from .shift import apply_shift, petermichl
-from .studies import theorem_suite
+from .studies import _usable_cpus, theorem_suite
 
 
 @dataclass(frozen=True)
@@ -38,34 +41,63 @@ class CheckResult:
     detail: str
 
 
-def _battery(depth: int, trials: int, seed: int):
-    """Deterministic stream of (measure, rng) pairs at depths 2..depth."""
+# dense Gram checks are quadratic in 2**depth; cap how many measures get one
+GRAM_BUDGET = 40
+
+
+def _battery(depth: int, trials: int, seed: int) -> list[tuple[MeasureTree, dict]]:
+    """Deterministic (measure, generator state) pairs at depths 2..depth;
+    `_fresh` hands each check its own generators in these states."""
+    battery = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         d = int(rng.integers(2, depth + 1))
         wide = t % 3 == 0  # every third measure is strongly lopsided
         p_lo, p_hi = (0.05, 0.95) if wide else (0.25, 0.75)
         mu = random_doubling(d, seed=seed * 100_003 + t, p_min=p_lo, p_max=p_hi)
+        battery.append((mu, rng.bit_generator.state))
+    return battery
+
+
+def _fresh(battery: list[tuple[MeasureTree, dict]]):
+    """The battery's measures, each with a new generator in its stored state."""
+    for mu, state in battery:
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state
         yield mu, rng
 
 
-def check_basis(depth: int, trials: int, seed: int) -> list[CheckResult]:
-    worst_gram = worst_pars = worst_round = worst_mean = 0.0
-    gram_budget = 40  # dense Gram checks are quadratic; cap how many run
-    grams_done = 0
-    for mu, rng in _battery(depth, trials, seed):
+def _gram_deviations(measures: list[MeasureTree]) -> list[tuple[float, float]]:
+    """(max |Gram - I|, max scaled mean) of the Haar basis of each measure.
+
+    It calls numpy and `haar_basis_matrix` only, so it may run on a helper
+    thread.  Each Gram matrix is one (H m) H^T product, with H m filled on
+    the supports: bit for bit `H * mu.leaf_masses`."""
+    devs = []
+    for mu in measures:
         n = 1 << mu.depth
-        if grams_done < gram_budget:
-            H = haar_basis_matrix(mu)
-            gram = (H * mu.leaf_masses) @ H.T
-            gram.flat[::n] -= 1.0  # the diagonal of the (n - 1) x (n - 1) Gram matrix
-            worst_gram = max(worst_gram, float(np.max(np.abs(gram, out=gram))))
-            means = H @ mu.leaf_masses
-            # sup |h_I| = c_I / m(I), the row maxima of |H|, bit for bit
-            scale = mu.haar_constant_heap[1:] / mu.min_child_heap[1:] * mu.total_mass
-            worst_mean = max(worst_mean, float(np.max(np.abs(means) / scale)))
-            grams_done += 1
-        f = StepFunction(mu.depth, rng.standard_normal(n))
+        H = haar_basis_matrix(mu)
+        gram = haar_basis_matrix(mu, mu.leaf_masses) @ H.T
+        gram.flat[::n] -= 1.0  # the diagonal of the (n - 1) x (n - 1) Gram matrix
+        worst_gram = float(np.max(np.abs(gram, out=gram)))
+        del gram
+        means = H @ mu.leaf_masses
+        # sup |h_I| = c_I / m(I), the row maxima of |H|, bit for bit
+        scale = mu.haar_constant_heap[1:] / mu.min_child_heap[1:] * mu.total_mass
+        devs.append((worst_gram, float(np.max(np.abs(means) / scale))))
+    return devs
+
+
+def check_basis(
+    battery: list[tuple[MeasureTree, dict]],
+    gram_deviations: Callable[[], list[tuple[float, float]]],
+) -> list[CheckResult]:
+    """Parseval and the round trip on every measure of the battery, then the
+    `_gram_deviations` of its first GRAM_BUDGET measures, which the call
+    `gram_deviations()` returns in measure order."""
+    worst_gram = worst_pars = worst_round = worst_mean = 0.0
+    for mu, rng in _fresh(battery):
+        f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
         spec = analyze(f, mu)
         l2sq = lp_norm(f, mu, 2.0) ** 2
         pars = spec.mean**2 * mu.total_mass + float(np.sum(spec.coeffs[1:] ** 2))
@@ -75,6 +107,9 @@ def check_basis(depth: int, trials: int, seed: int) -> list[CheckResult]:
             worst_round,
             float(np.max(np.abs(g.values - f.values)) / np.max(np.abs(f.values))),
         )
+    for gram, mean in gram_deviations():
+        worst_gram = max(worst_gram, gram)
+        worst_mean = max(worst_mean, mean)
     return [
         CheckResult("orthonormality", worst_gram <= 1e-9, f"max |Gram - I| = {worst_gram:.3e}"),
         CheckResult("haar_mean_zero", worst_mean <= 1e-12, f"max scaled mean = {worst_mean:.3e}"),
@@ -83,10 +118,10 @@ def check_basis(depth: int, trials: int, seed: int) -> list[CheckResult]:
     ]
 
 
-def check_sandwich(depth: int, trials: int, seed: int) -> CheckResult:
+def check_sandwich(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
     ok = True
     worst = ""
-    for mu, _ in _battery(depth, trials, seed):
+    for mu, _ in battery:
         rep = mu.balanced_constant()
         root_b = np.sqrt(rep.balanced_constant)
         if not (root_b * (1 - 1e-12) <= rep.bal_form_constant <= 4 * root_b * (1 + 1e-12)):
@@ -96,9 +131,9 @@ def check_sandwich(depth: int, trials: int, seed: int) -> CheckResult:
     return CheckResult("balance_sandwich", ok, worst or "sqrt(B) <= form <= 4 sqrt(B)")
 
 
-def check_sibling(depth: int, trials: int, seed: int) -> CheckResult:
+def check_sibling(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
     count = 0
-    for mu, rng in _battery(depth, trials, seed):
+    for mu, rng in _fresh(battery):
         f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
         slack = sibling_slacks(f, mu)
         bad = np.flatnonzero(~(slack[1:] >= 0.0))  # NaN is a violation too
@@ -113,9 +148,9 @@ def check_sibling(depth: int, trials: int, seed: int) -> CheckResult:
     return CheckResult("sibling_lemma", True, f"{count} trials, no violation")
 
 
-def check_square_function(depth: int, trials: int, seed: int) -> CheckResult:
+def check_square_function(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
     worst = 0.0
-    for mu, rng in _battery(depth, trials, seed):
+    for mu, rng in _fresh(battery):
         f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
         a = square_function(f, mu).values
         b = square_function_martingale(f, mu).values
@@ -138,7 +173,7 @@ def check_petermichl_norm(depth: int, trials: int, seed: int) -> CheckResult:
 
 def check_lambda_closed_form(depth: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
-    for mu, rng in _battery(min(depth, 7), max(trials // 10, 5), seed + 2):
+    for mu, rng in _fresh(_battery(min(depth, 7), max(trials // 10, 5), seed + 2)):
         alpha = float(rng.uniform(0.0, 1.0))
         # one batch over the Haar functions, in heap order; each row gets
         # the value of its one-function lambda_norm
@@ -151,7 +186,7 @@ def check_lambda_closed_form(depth: int, trials: int, seed: int) -> CheckResult:
 
 def check_adjoint_pairing(depth: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
-    for mu, rng in _battery(depth, max(trials // 10, 5), seed + 3):
+    for mu, rng in _fresh(_battery(depth, max(trials // 10, 5), seed + 3)):
         T = petermichl(mu.depth)
         Tadj = T.adjoint()
         n = 1 << mu.depth
@@ -183,17 +218,46 @@ def check_theorem_suites(depth: int, seed: int) -> CheckResult:
 
 
 def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[CheckResult]:
+    """Every check, on one `_battery(depth, trials, seed)` for the basis,
+    sandwich, sibling and square-function checks.
+
+    The Gram lane: the dense Gram products of the deepest of the first
+    GRAM_BUDGET measures run one at a time on a helper thread, where BLAS
+    releases the interpreter lock, while this thread runs every other check
+    and then the shallower measures' products.  With one usable CPU both
+    lanes run here.  Either way `check_basis` folds the deviations in
+    measure order, so the results are those of one serial pass."""
     if depth < 2:
         raise ValueError(f"verification needs depth >= 2, got {depth}")
     if trials < 1:
         raise ValueError(f"verification needs trials >= 1, got {trials}")
-    results = []
-    results.extend(check_basis(depth, trials, seed))
-    results.append(check_sandwich(depth, trials, seed))
-    results.append(check_sibling(depth, trials, seed))
-    results.append(check_square_function(depth, trials, seed))
-    results.append(check_petermichl_norm(depth, trials, seed))
-    results.append(check_lambda_closed_form(depth, trials, seed))
-    results.append(check_adjoint_pairing(depth, trials, seed))
-    results.append(check_theorem_suites(depth, seed))
-    return results
+    battery = _battery(depth, trials, seed)
+    measures = [mu for mu, _ in battery[:GRAM_BUDGET]]
+    deepest = max(mu.depth for mu in measures)
+    lane = [mu for mu in measures if mu.depth == deepest]
+    # a pool with no task starts no thread; the helper runs in a copy of
+    # this thread's context, which holds numpy's floating-point error state
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if _usable_cpus() > 1:
+            lane_deviations = pool.submit(
+                contextvars.copy_context().run, _gram_deviations, lane
+            ).result
+        else:
+            lane_deviations = lambda: _gram_deviations(lane)
+        others = [
+            check_sandwich(battery),
+            check_sibling(battery),
+            check_square_function(battery),
+            check_petermichl_norm(depth, trials, seed),
+            check_lambda_closed_form(depth, trials, seed),
+            check_adjoint_pairing(depth, trials, seed),
+            check_theorem_suites(depth, seed),
+        ]
+
+        def gram_deviations() -> list[tuple[float, float]]:
+            shallow = iter(_gram_deviations([mu for mu in measures if mu.depth < deepest]))
+            deep = iter(lane_deviations())
+            return [next(deep if mu.depth == deepest else shallow) for mu in measures]
+
+        basis = check_basis(battery, gram_deviations)
+    return basis + others

@@ -69,6 +69,11 @@ def test_validator_reports_malformed_subatoms(mu):
     # a base level below the leaves: no node qualifies, and E_k b = b
     v = validate_block(AtomicBlock(mu.depth + 1, 2.0, block.subatoms), mu)
     assert not v.valid and v.support_violations == (0,) and v.mean_violation
+    # a weighted sum that overflows: its mean cannot be checked
+    huge = Subatom(1e300, 1e10 * StepFunction.indicator(mu.tree, Node(0, 0)), Node(0, 0))
+    with np.errstate(over="ignore"):
+        v = validate_block(AtomicBlock(0, 2.0, (huge,)), mu)
+    assert not v.valid and v.mean_violation
 
 
 def test_validator_flags(mu):

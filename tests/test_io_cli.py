@@ -15,7 +15,7 @@ from haarlab import cli, studies, verify
 from haarlab import io as hio
 from haarlab.atomic import atb_upper_bound
 from haarlab.cli import build_parser, main
-from haarlab.martingale import StepFunction, haar_function
+from haarlab.martingale import NonFiniteError, StepFunction, haar_function
 from haarlab.measure import GENERATORS, MeasureTree, generate, random_doubling
 from haarlab.norms import (
     bmo_martingale,
@@ -461,8 +461,13 @@ def test_writers_match_stdlib_json_at_edges(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
 def test_writers_refuse_non_finite_values(tmp_path, bad):
     path = tmp_path / "f.json"
+    with pytest.raises(NonFiniteError, match="leaf values must be finite"):
+        StepFunction(3, np.array([1.0] * 7 + [bad]))
+    # a function's values can still be changed in place
+    f = StepFunction(3, np.ones(8))
+    f.values[-1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        hio.save_function(StepFunction(3, np.array([1.0] * 7 + [bad])), path)
+        hio.save_function(f, path)
     assert not path.exists()
 
 

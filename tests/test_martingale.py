@@ -1,5 +1,7 @@
 """Haar analysis/synthesis, conditional expectations, and square functions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from haarlab import martingale
 from haarlab.martingale import (
+    NonFiniteError,
     StepFunction,
     analyze,
     analyze_rows,
@@ -249,13 +252,18 @@ def test_transform_rows_match_one_function_references(depth):
         squares = square_function_rows(F, mu)
         images = synthesize_rows(means, coeffs, mu)
         for i, row in enumerate(F):
-            f = StepFunction(depth, row)
+            f = SimpleNamespace(values=row)  # the references read only the values
             ref_mean, ref_coeffs = _ref_analyze(f, mu)
             assert _eq(avg[i], _ref_average_heap(f, mu))
             assert _eq(means[i], ref_mean) and _eq(coeffs[i], ref_coeffs)
             assert _eq(images[i], _ref_synthesize(ref_mean, ref_coeffs, mu))
             assert _eq(squares[i], _ref_square_function(f, mu))
-            # the one-function API is the one-row case
+            # the one-function API is the one-row case, on finite rows only
+            if not np.isfinite(row).all():
+                with pytest.raises(NonFiniteError):
+                    StepFunction(depth, row)
+                continue
+            f = StepFunction(depth, row)
             spec = analyze(f, mu)
             assert _eq(spec.mean, ref_mean) and _eq(spec.coeffs, ref_coeffs)
             assert _eq(synthesize(spec, mu).values, images[i])
@@ -276,7 +284,9 @@ def test_row_shapes_checked(mu):
 
 def test_chunks_cover_rows_in_order(monkeypatch):
     monkeypatch.setattr(martingale, "CHUNK_BYTES", 3 * 8 * 16)  # three rows at depth 4
-    assert [(c.start, c.stop) for c in row_chunks(7, 4)] == [(0, 3), (3, 6), (6, 9)]
+    # the fewest chunks of at most three rows, sizes differing by at most one
+    assert [(c.start, c.stop) for c in row_chunks(7, 4)] == [(0, 3), (3, 5), (5, 7)]
+    assert [c.stop - c.start for c in row_chunks(9, 4)] == [3, 3, 3]
     assert list(row_chunks(0, 4)) == []
     assert [(c.start, c.stop) for c in row_chunks(2, 9)] == [(0, 1), (1, 2)]  # at least one row
 
@@ -304,3 +314,14 @@ def test_haar_basis_matrix_matches_node_loop(depth):
     for mu in measures:
         H = haar_basis_matrix(mu)
         assert H.tobytes() == _ref_haar_basis_matrix(mu).tobytes()
+
+
+@pytest.mark.parametrize("depth", range(2, 11))
+def test_weighted_haar_basis_matrix_is_the_dense_product(depth):
+    """Filled on the supports only, H * m is the dense product bit for bit
+    (signed zeros included), on masses spanning 1e-8..1 and on every
+    generator family."""
+    measures, _ = _transform_cases(depth)
+    for mu in measures:
+        expected = haar_basis_matrix(mu) * mu.leaf_masses
+        assert haar_basis_matrix(mu, mu.leaf_masses).tobytes() == expected.tobytes()

@@ -1,17 +1,15 @@
 """Blowup and boundedness studies plus the canonical CSV emitter."""
 
-import functools
-import importlib.util
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from haarlab import martingale, studies
-from haarlab.martingale import StepFunction, analyze, synthesize
+from haarlab.martingale import analyze, synthesize_rows
 from haarlab.measure import GENERATORS, MeasureError, generate, geometric_unbalanced, lebesgue
 from haarlab.norms import NormSpec, haar_lambda2_norm
 from haarlab.studies import (
@@ -135,7 +133,9 @@ BOUNDED_TARGETS = [NormSpec("lambda", q=3.0, alpha=2.0), NormSpec("lambda", q=1.
 
 
 def _ref_suite_maxima(battery, mu, inputs, target):
-    # the per-function suite loop before the probe axis, verbatim
+    # the per-function suite loop before the probe axis, verbatim except
+    # that functions and images are stand-ins holding their values: NaN and
+    # inf rows have NaN images, which no StepFunction holds
     spectra = [(analyze(f, mu), denom) for f, denom in inputs]
     out = {}
     for shift_name, T in battery.items():
@@ -143,7 +143,8 @@ def _ref_suite_maxima(battery, mu, inputs, target):
         for spec, denom in spectra:
             if denom <= 0.0 or not np.isfinite(denom):
                 continue
-            tf = synthesize(T.apply_spectrum(spec), mu)
+            image = T.apply_spectrum(spec)
+            tf = SimpleNamespace(values=synthesize_rows(image.mean, image.coeffs, mu))
             best = max(best, target(tf, mu) / denom)
         out[shift_name] = best
     return out
@@ -176,7 +177,7 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
     def check(G, dG, F, dF, grid):
         # `_suite_maxima` on (F, dF) against the reference on (G, dG), at
         # each (chunk bytes, workers) of the grid
-        inputs = [(StepFunction(depth, row), float(d)) for row, d in zip(G, dG)]
+        inputs = [(SimpleNamespace(depth=depth, values=row), float(d)) for row, d in zip(G, dG)]
         for target in [target for _, target in SUITES.values()] + BOUNDED_TARGETS:
             with np.errstate(all="ignore"):
                 expected = _ref_suite_maxima(battery, mu, inputs, target)
@@ -285,43 +286,19 @@ def test_theorem_suite_csv_unchanged_across_workers(monkeypatch):
     assert len(set(threads)) > 1  # helper threads folded chunks
 
 
-def _load_tracing():
-    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
-def test_helper_threads_call_no_traced_function(monkeypatch):
-    """The benchmark tracer keeps one span stack per process, so only the
-    calling thread may run the functions it wraps: install its targets with
-    wrappers that record the thread, and run every suite on two workers at
-    several chunks per cell."""
-    tracer = _load_tracing().Tracer()
-    calls = []
-
-    def record(group, fn, hook=None):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls.append((group, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    tracer._wrap = record
-    tracer._count_probe = functools.partial(record, "opnorm._ratio")
+def test_helper_threads_call_no_traced_function(monkeypatch, traced_calls):
+    """Only the calling thread may run the functions the benchmark tracer
+    wraps: run every suite on two workers at several chunks per cell."""
     monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(martingale, "CHUNK_BYTES", 8 * 8 << 6)
     threads = _fold_threads(monkeypatch)
-    tracer.install()
-    try:
+
+    def run():
         for name in THEOREM_NAMES:
             # through the module: the tracer rebinds haarlab's own names only
             studies.theorem_suite(name, SUITE_FAMILIES[1:3], [5, 6], n_random=2)
-    finally:
-        tracer.uninstall()
+
+    calls = traced_calls(run)
     assert len(set(threads)) > 1  # a helper thread folded chunks
     groups = {group for group, _ in calls}
     assert {"studies.theorem_suite", "studies.default_shift_battery"} <= groups
