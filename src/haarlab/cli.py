@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,16 +40,23 @@ class CliError(Exception):
         self.code = code
 
 
+def _finite(value):
+    """A non-finite float as the text `NormSpec.label` writes for it ("inf",
+    "-inf", "nan"), which JSON can hold; any other value as it is."""
+    return f"{value:g}" if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_manifest(out: str | None, config: dict) -> None:
     if out is None:
         return
     manifest = {
-        k: v
+        k: _finite(v)
         for k, v in config.items()
         if isinstance(v, (str, int, float, bool, list, type(None)))
     }
     manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2, allow_nan=False)
+    Path(str(out) + ".manifest.json").write_text(text + "\n")
 
 
 def _emit(payload: str, out: str | None, config: dict) -> None:
@@ -172,13 +180,14 @@ def cmd_norm(args) -> int:
         try:
             spec = NormSpec(name, **given)
             res = spec.evaluate(f, mu)
-            params, value, witness = spec.params(), res.value, res.witness_node
+            params = {k: _finite(v) for k, v in spec.params().items()}
+            value, witness = res.value, res.witness_node
         except NormError as exc:
             raise CliError(EXIT_PARAM, f"invalid norm parameters: {exc}")
     if not np.isfinite(value):
         raise CliError(EXIT_INPUT, f"the {args.norm} norm of this input is not finite ({value})")
     report = hio.norm_report(args.norm, params, value, witness)
-    _emit(json.dumps(report) + "\n", args.out, vars(args) | {"command": "norm"})
+    _emit(json.dumps(report, allow_nan=False) + "\n", args.out, vars(args) | {"command": "norm"})
     return EXIT_OK
 
 

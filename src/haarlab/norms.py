@@ -149,6 +149,23 @@ def _check_lambda(q: float, alpha: float) -> None:
         raise NormError(f"alpha must be a finite real >= 0, got {alpha}")
 
 
+def check_lambda_range(mu: MeasureTree, q: float, alpha: float) -> None:
+    """NormError unless q and alpha are valid and the mass factor
+    mu(Q)**(-1/q - alpha) of Lambda_q(alpha) is finite and nonzero on every
+    node Q of mu: it is largest on the lightest leaf and smallest on the
+    root.  A run checks each measure here, so that an alpha too large for it
+    stops the run instead of overflowing inside it."""
+    _check_lambda(q, alpha)
+    exponent = -1.0 / q - alpha
+    with np.errstate(over="ignore", under="ignore"):
+        high, low = np.array([mu.leaf_masses.min(), mu.total_mass]) ** exponent
+    if not (high < np.inf and low > 0.0):
+        raise NormError(
+            f"alpha={alpha:g} is too large for this measure: "
+            f"mu(Q)**({exponent:g}) leaves the float64 range"
+        )
+
+
 def lambda_rows(
     F: np.ndarray, mu: MeasureTree, q: float, alpha: float
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -202,10 +219,16 @@ def haar_lambda2_norm(mu: MeasureTree, node: Node, alpha: float) -> float:
     children = mu.mass_heap[[2 * p, 2 * p + 1]].tolist()
     c = float(mu.haar_constant_heap[p])
     best = 0.0
-    for m in path:
-        best = max(best, m ** (-0.5 - alpha))
-    for m in children:
-        best = max(best, c * m ** (-1.0 - alpha))
+    try:
+        for m in path:
+            best = max(best, m ** (-0.5 - alpha))
+        for m in children:
+            best = max(best, c * m ** (-1.0 - alpha))
+    except OverflowError:
+        # a mass power overflowed, so the lightest leaf's mu**(-1 - alpha)
+        # does too: the range check at q = 1 raises its NormError
+        check_lambda_range(mu, 1.0, alpha)
+        raise
     return best
 
 

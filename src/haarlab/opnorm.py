@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .martingale import (
     HaarSpectrum,
@@ -47,7 +46,7 @@ class OpNormEstimate:
 def svd_opnorm(T: GeneralShift, mu: MeasureTree | None = None) -> float:
     """Dense SVD oracle; intended for small depths only."""
     mat = haar_matrix(T, mu).toarray()
-    return float(scipy.linalg.svdvals(mat)[0]) if mat.size else 0.0
+    return float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
 
 
 def l2_opnorm(T: GeneralShift, mu: MeasureTree, tol: float = 1e-10) -> OpNormEstimate:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .martingale import HaarSpectrum, StepFunction, analyze, synthesize
 from .measure import MeasureTree
@@ -120,11 +119,15 @@ class GeneralShift:
         ))
 
     @cached_property
-    def _matrix(self) -> sp.csr_matrix:
+    def _matrix(self) -> "sp.csr_matrix":
         """The coefficient action as a (2**depth, 2**depth) matrix: row S,
         column R, one stored entry per term, the terms of a row in term order
         (a stable sort by S).  Entries with equal (R, S) stay separate: the
         product adds a row's terms one at a time, in that order."""
+        # imported on first use: importing scipy.sparse costs about 0.26 s and
+        # 22 MB, which commands that apply no shift (norm, measure) need not pay
+        import scipy.sparse as sp
+
         n = 1 << self.depth
         order = np.argsort(self._s_pos, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -248,7 +251,7 @@ def apply_shift(T: GeneralShift, f: StepFunction, mu: MeasureTree) -> StepFuncti
     return synthesize(T.apply_spectrum(analyze(f, mu)), mu)
 
 
-def haar_matrix(T: GeneralShift, mu: MeasureTree | None = None) -> sp.csr_matrix:
+def haar_matrix(T: GeneralShift, mu: MeasureTree | None = None) -> "sp.csr_matrix":
     """The coefficient action without heap slot 0: entry (heap(S)-1,
     heap(R)-1) holds alpha, one stored entry per term, as in `_matrix`.
 

@@ -20,7 +20,7 @@ import numpy as np
 from .atomic import AtomicBlock, haar_block, random_block, validate_block
 from .martingale import haar_function, row_chunks
 from .measure import MeasureTree, generate
-from .norms import NormSpec, haar_lambda2_norm, lambda_norm
+from .norms import NormSpec, check_lambda_range, haar_lambda2_norm, lambda_norm
 from .opnorm import battery_maxima, node_probe_rows
 from .shift import CanonicalShift, GeneralShift, apply_shift, petermichl
 from .tree import Node
@@ -77,6 +77,7 @@ def blowup_study(
     rows = []
     for depth in depths:
         mu = build_measure(family, depth, seed)
+        check_lambda_range(mu, 2.0, alpha)
         node = unbalanced_branch_node(depth)
         h = haar_function(mu, node)
         th = apply_shift(petermichl(depth), h, mu)
@@ -249,10 +250,13 @@ def theorem_suite(
         replace(spec, alpha=alpha) if spec is not None and "alpha" in spec.params() else spec
         for spec in SUITES[name]
     )
+    lipschitz = [spec for spec in (source, target) if spec is not None and spec.name == "lambda"]
     rows = []
     for family in families:
         for depth in depths:
             mu = build_measure(family, depth, seed)
+            for spec in lipschitz:
+                check_lambda_range(mu, spec.q, spec.alpha)
             if source is None:
                 blocks = block_battery(mu, seed)
                 inputs = np.stack([b.function(depth).values for b in blocks])

@@ -8,7 +8,8 @@ imports are the package's re-exports.  One more check keeps the file
 formats in `io`: no other module defines JSON code, and only `io` and
 `cli` import a JSON library.  Another keeps the max-ratio fold in `opnorm`:
 no other module calls a norm's certified bound, and `norms` imports neither
-the synthesis nor the tie-break that scoring needs.
+the synthesis nor the tie-break that scoring needs.  A last one keeps scipy
+off `import haarlab`: only `shift` imports it, and only inside a function.
 """
 
 import ast
@@ -335,3 +336,49 @@ def test_only_opnorm_scores_rows_against_a_maximum(path):
         assert "upper_rows" not in called_names(source)
     if path.name == "norms.py":
         assert {"synthesize_rows", "first_max"}.isdisjoint(imported_names(source))
+
+
+# the one module that may import scipy, and only inside a function body:
+# scipy costs a cold start about 0.3 s, which commands that apply no shift
+# need not pay
+SCIPY_IMPORTER = "shift.py"
+
+
+def scipy_imports(source: str) -> list[tuple[str, int, bool]]:
+    """(module, line, eager) for every import of scipy; an import is eager
+    where it runs when the module is imported, outside every function body."""
+    found = []
+
+    def visit(node: ast.AST, eager: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module and not child.level:
+                names = [child.module]
+            found.extend((name, child.lineno, eager) for name in names
+                         if name.split(".")[0] == "scipy")
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, eager and not function)
+
+    visit(ast.parse(source), True)
+    return found
+
+
+def test_checker_flags_scipy_imports():
+    source = "import os, scipy\nif True:\n    from scipy.linalg import svd\n" \
+        "class A:\n    import scipy.sparse as sp\n    def f(self):\n" \
+        "        import scipy.sparse as sp\ndef g():\n    from scipy import linalg\n" \
+        "from .scipy import x\n"
+    assert scipy_imports(source) == [
+        ("scipy", 1, True), ("scipy.linalg", 3, True), ("scipy.sparse", 5, True),
+        ("scipy.sparse", 7, False), ("scipy", 9, False),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_shift_imports_scipy_and_only_on_use(path):
+    found = scipy_imports(path.read_text())
+    if path.name != SCIPY_IMPORTER:
+        assert found == []
+    assert [(name, line) for name, line, eager in found if eager] == []

@@ -7,6 +7,7 @@ import json
 import re
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +17,19 @@ from haarlab import io as hio
 from haarlab.atomic import atb_upper_bound
 from haarlab.cli import build_parser, main
 from haarlab.martingale import NonFiniteError, StepFunction, haar_function
-from haarlab.measure import GENERATORS, MeasureTree, generate, random_doubling
+from haarlab.measure import GENERATORS, MeasureTree, generate, lebesgue, random_doubling
 from haarlab.norms import (
+    NormError,
     bmo_martingale,
     bmo_oscillation,
     h1_norm,
+    haar_lambda2_norm,
     lambda_norm,
     lp_norm,
     weak_l1,
 )
 from haarlab.shift import CanonicalShift, GeneralShift, ShiftShape, dense_alphas, petermichl
+from haarlab.studies import blowup_study, theorem_suite
 from haarlab.tree import MAX_DEPTH, DyadicTree, Node
 from haarlab.verify import run_verification
 
@@ -1042,6 +1046,73 @@ def test_cli_study_alpha_must_be_finite(capsys):
         assert main(argv + ["--alpha", "inf"]) == 3
         assert "alpha must be a finite real >= 0" in capsys.readouterr().err
         assert main(argv + ["--alpha", "2"]) == 0
+
+
+def test_cli_study_alpha_too_large_for_the_measures(capsys):
+    # a finite Lipschitz order so large that mu(Q)**(-1/q - alpha) overflows
+    # ended in an OverflowError traceback (blowup, exit 1) or wrote inf and
+    # 1e120-sized estimates (TheoremB, exit 0)
+    theorem = ["study", "theorem", "--name", "TheoremB", "--family", "lebesgue",
+               "--depths", "4:4"]
+    blowup = ["study", "blowup", "--family", "lebesgue", "--depths", "3:4"]
+    for argv in (theorem, blowup):
+        assert main(argv + ["--alpha", "400"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid study config: alpha=400 is too large for this measure: "
+            "mu(Q)**(-400.5) leaves the float64 range\n"
+        )
+    # (1/16)**-250.5 = 2**1002 fits, and so does the closed form's 2**1004
+    for argv in (theorem, blowup):
+        assert main(argv + ["--alpha", "250"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert rows and all(np.isfinite(float(row[5])) for row in rows)
+    # the library raises the same NormError, a ValueError, before any work
+    with pytest.raises(NormError, match="alpha=400 is too large"):
+        blowup_study({"kind": "lebesgue"}, 400.0, [3, 4])
+    with pytest.raises(NormError, match="alpha=400 is too large"):
+        theorem_suite("TheoremB", [{"kind": "lebesgue"}], [4], alpha=400.0)
+    # the closed form's child power overflows first at (1/8)**-401
+    with pytest.raises(NormError, match=r"mu\(Q\)\*\*\(-401\)"):
+        haar_lambda2_norm(lebesgue(3), Node(2, 0), 400.0)
+    # the other suites do not read alpha
+    theorem_suite("BMOtoBMO", [{"kind": "lebesgue"}], [4], alpha=400.0, n_random=0)
+
+
+def test_cli_json_outputs_parse_with_orjson(tmp_path, capsys):
+    # `--norm lp --p inf` wrote "p": Infinity to its report and manifest,
+    # which no strict JSON reader, orjson included, accepts
+    mu_path = _gen_measure(tmp_path)
+    f_path = _save_function(tmp_path, mu_path)
+    shift_path = tmp_path / "T.json"
+    hio.save_shift(petermichl(4), shift_path)
+    base = ["norm", "--function", str(f_path), "--measure", str(mu_path)]
+    runs = [
+        base + ["--norm", "lp", "--p", "inf", "--out", str(tmp_path / "inf.json")],
+        base + ["--norm", "lambda", "--q", "3", "--alpha", "0.5",
+                "--out", str(tmp_path / "lambda.json")],
+        ["apply", "--shift", str(shift_path), "--function", str(f_path),
+         "--measure", str(mu_path), "--out", str(tmp_path / "Tf.json")],
+        ["study", "blowup", "--depths", "3:4", "--out", str(tmp_path / "b.csv")],
+        ["study", "theorem", "--name", "TheoremB", "--depths", "3:3", "--trials", "1",
+         "--out", str(tmp_path / "t.csv")],
+        ["verify", "--depth", "3", "--trials", "5", "--out", str(tmp_path / "v.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    parsed = {p.name: orjson.loads(p.read_bytes()) for p in tmp_path.glob("*.json")}
+    outputs = ["mu.json", "inf.json", "lambda.json", "Tf.json", "b.csv", "t.csv", "v.json"]
+    expected = {"T.json", "f.json"} | {name + ".manifest.json" for name in outputs}
+    assert set(parsed) == expected | {name for name in outputs if name.endswith(".json")}
+    assert parsed["inf.json"]["params"] == {"p": "inf"}
+    assert parsed["inf.json"]["value"] == np.max(np.abs(hio.load_function(f_path).values))
+    assert parsed["inf.json.manifest.json"]["p"] == "inf"
+    assert parsed["lambda.json"]["params"] == {"q": 3.0, "alpha": 0.5}
+    # the report on stdout is the same JSON
+    capsys.readouterr()
+    assert main(base + ["--norm", "lp", "--p", "inf"]) == 0
+    assert orjson.loads(capsys.readouterr().out) == parsed["inf.json"]
 
 
 def test_cli_study_theorem_flags_must_be_read(tmp_path, capsys):

@@ -26,6 +26,7 @@ from haarlab.norms import (
     bmo_osc_rows,
     bmo_oscillation,
     bmo_rows,
+    check_lambda_range,
     h1_norm,
     h1_rows,
     haar_lambda2_norm,
@@ -137,6 +138,28 @@ def test_haar_lambda2_closed_form(mu):
         haar_lambda2_norm(mu, Node(0, 0), np.nan)
     with pytest.raises(NormError, match="alpha must be a finite real"):
         haar_lambda2_norm(mu, Node(0, 0), np.inf)
+
+
+def test_lambda_range_is_the_float_range_of_the_mass_factor():
+    # lebesgue(4): leaves of mass 1/16, where (1/16)**(-1/2 - alpha) is
+    # 2**1002 at alpha = 250 and overflows at alpha = 300
+    light = lebesgue(4)
+    check_lambda_range(light, 2.0, 250.0)
+    assert lambda_norm(haar_function(light, Node(3, 0)), light, 2.0, 250.0).value < np.inf
+    with pytest.raises(NormError, match=r"alpha=300 is too large .*\(-300\.5\)"):
+        check_lambda_range(light, 2.0, 300.0)
+    with pytest.raises(NormError, match=r"\(-301\)"):
+        check_lambda_range(light, 1.0, 300.0)
+    # a heavy measure: there the root's power underflows to zero instead
+    heavy = MeasureTree(DyadicTree(1), [1e200, 1e200])
+    check_lambda_range(heavy, 2.0, 0.5)
+    with pytest.raises(NormError, match=r"alpha=2 is too large .*\(-2\.5\)"):
+        check_lambda_range(heavy, 2.0, 2.0)
+    # the parameters are checked first, with their own messages
+    for q, alpha, message in ((2.0, np.inf, "alpha must"), (2.0, np.nan, "alpha must"),
+                              (0.5, 1.0, "q must")):
+        with pytest.raises(NormError, match=message):
+            check_lambda_range(light, q, alpha)
 
 
 def test_h1_norm_is_l1_of_square_function(mu):
