@@ -22,7 +22,7 @@ from . import io as hio
 from .atomic import atb_upper_bound
 from .martingale import NonFiniteError
 from .measure import GENERATORS, MeasureError, family_params, generate
-from .norms import NORMS, NormError, NormSpec
+from .norms import NORMS, NormError, NormSpec, check_lambda_range
 from .shift import ShiftError, apply_shift
 from .studies import SUITES, blowup_study, rows_to_csv, theorem_suite, THEOREM_NAMES
 from .tree import TreeError
@@ -179,6 +179,8 @@ def cmd_norm(args) -> int:
     else:
         try:
             spec = NormSpec(name, **given)
+            if spec.name == "lambda":
+                check_lambda_range(mu, spec.q, spec.alpha)
             res = spec.evaluate(f, mu)
             params = {k: _finite(v) for k, v in spec.params().items()}
             value, witness = res.value, res.witness_node
@@ -339,6 +341,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's generators reject a negative seed, so every command does,
+        # also one that draws nothing: an input error for `measure gen`, as
+        # its other spec faults are, and a parameter error for a run
+        if getattr(args, "seed", 0) < 0:
+            code = EXIT_INPUT if args.command == "measure" else EXIT_PARAM
+            raise CliError(code, f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

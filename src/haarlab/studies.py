@@ -7,13 +7,13 @@ from the seed plus trial index, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import csv
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -191,6 +191,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def helpers() -> Iterator[Callable]:
+    """`start(fn, *args)` runs fn(*args) on a helper thread and returns a
+    function that waits for the call and returns its result or raises its
+    exception.  This is the one place the package starts threads.
+
+    At most `_usable_cpus() - 1` helpers, and at least one, run at once.
+    Each runs in a copy of the caller's context, which holds numpy's
+    floating-point error state.  A block that starts no helper starts no
+    thread, and every helper has ended when the block exits, also when
+    the caller raises."""
+    # imported on first use: concurrent.futures loads logging, queue and
+    # traceback, which commands that start no helper need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1)) as pool:
+        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args).result
+
+
 def _suite_maxima(
     battery: dict[str, GeneralShift],
     mu: MeasureTree,
@@ -206,22 +225,19 @@ def _suite_maxima(
     folds chunks w, w + W, ... with its own maxima and source norms, so a
     skipped image is certified below its worker's maximum and the max over
     the workers is the one-worker fold's (no ratio is -0.0).  Worker 0 is
-    the calling thread, so one chunk runs inline.  The workers share only
-    read-only inputs and the shifts, whose lazy matrices are the same
-    whoever builds them; numpy and scipy release the interpreter lock, so
-    the workers overlap."""
+    the calling thread, so one chunk runs inline, and the others are
+    `helpers`.  The workers share only read-only inputs and the shifts,
+    whose lazy matrices are the same whoever builds them; numpy and scipy
+    release the interpreter lock, so the workers overlap."""
     slices = list(row_chunks(len(inputs), mu.depth))
 
     def fold(share: list[slice]) -> dict[str, tuple[float, np.ndarray | None]]:
         return battery_maxima(battery, mu, ((inputs[s], denoms_of(s)) for s in share), target)
 
     workers = max(1, min(len(slices), _usable_cpus()))
-    # a pool with no task starts no thread.  Each helper runs in a copy of
-    # the caller's context, which holds numpy's floating-point error state.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        shares = [slices[w::workers] for w in range(workers)]
-        helpers = [pool.submit(contextvars.copy_context().run, fold, s) for s in shares[1:]]
-        folds = [fold(shares[0])] + [helper.result() for helper in helpers]
+    with helpers() as start:
+        waits = [start(fold, slices[w::workers]) for w in range(1, workers)]
+        folds = [fold(slices[::workers])] + [wait() for wait in waits]
     return {name: max(maxima[name][0] for maxima in folds) for name in battery}
 
 

@@ -6,8 +6,6 @@ function of (depth, trials, seed).
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +29,7 @@ from .norms import (
 )
 from .opnorm import l2_opnorm
 from .shift import apply_shift, petermichl
-from .studies import _usable_cpus, theorem_suite
+from .studies import helpers, theorem_suite
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,8 @@ def check_basis(
 ) -> list[CheckResult]:
     """Parseval and the round trip on every measure of the battery, then the
     `_gram_deviations` of its first GRAM_BUDGET measures, which the call
-    `gram_deviations()` returns in measure order."""
+    `gram_deviations()` returns in any order: each is folded by a max over
+    finite values, which the order does not change."""
     worst_gram = worst_pars = worst_round = worst_mean = 0.0
     for mu, rng in _fresh(battery):
         f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
@@ -222,11 +221,9 @@ def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[C
     sandwich, sibling and square-function checks.
 
     The Gram lane: the dense Gram products of the deepest of the first
-    GRAM_BUDGET measures run one at a time on a helper thread, where BLAS
-    releases the interpreter lock, while this thread runs every other check
-    and then the shallower measures' products.  With one usable CPU both
-    lanes run here.  Either way `check_basis` folds the deviations in
-    measure order, so the results are those of one serial pass."""
+    GRAM_BUDGET measures run one at a time on a helper thread, at any CPU
+    count, where BLAS releases the interpreter lock, while this thread runs
+    every other check and then the shallower measures' products."""
     if depth < 2:
         raise ValueError(f"verification needs depth >= 2, got {depth}")
     if trials < 1:
@@ -234,16 +231,9 @@ def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[C
     battery = _battery(depth, trials, seed)
     measures = [mu for mu, _ in battery[:GRAM_BUDGET]]
     deepest = max(mu.depth for mu in measures)
-    lane = [mu for mu in measures if mu.depth == deepest]
-    # a pool with no task starts no thread; the helper runs in a copy of
-    # this thread's context, which holds numpy's floating-point error state
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if _usable_cpus() > 1:
-            lane_deviations = pool.submit(
-                contextvars.copy_context().run, _gram_deviations, lane
-            ).result
-        else:
-            lane_deviations = lambda: _gram_deviations(lane)
+    shallow = [mu for mu in measures if mu.depth < deepest]
+    with helpers() as start:
+        lane = start(_gram_deviations, [mu for mu in measures if mu.depth == deepest])
         others = [
             check_sandwich(battery),
             check_sibling(battery),
@@ -253,11 +243,5 @@ def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[C
             check_adjoint_pairing(depth, trials, seed),
             check_theorem_suites(depth, seed),
         ]
-
-        def gram_deviations() -> list[tuple[float, float]]:
-            shallow = iter(_gram_deviations([mu for mu in measures if mu.depth < deepest]))
-            deep = iter(lane_deviations())
-            return [next(deep if mu.depth == deepest else shallow) for mu in measures]
-
-        basis = check_basis(battery, gram_deviations)
+        basis = check_basis(battery, lambda: _gram_deviations(shallow) + lane())
     return basis + others

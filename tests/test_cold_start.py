@@ -1,10 +1,12 @@
-"""What a fresh process loads: scipy only once a shift is applied.
+"""What a fresh process loads: scipy only once a shift is applied, and
+concurrent.futures only once a helper thread is started.
 
 `import haarlab` and the commands that apply no shift (norm, measure gen,
-measure inspect) load no scipy module.  The first shift application
-imports scipy.sparse for its product, and nothing loads scipy.linalg: the
-dense SVD oracle runs on numpy.  Each case runs in a new interpreter,
-because the test process itself has long since imported scipy.
+measure inspect) load no scipy module and no concurrent.futures module.
+The first shift application imports scipy.sparse for its product, and
+nothing loads scipy.linalg: the dense SVD oracle runs on numpy.  Each case
+runs in a new interpreter, because the test process itself has long since
+imported both.
 """
 
 import json
@@ -25,12 +27,13 @@ from haarlab.measure import random_doubling
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules loaded once `code` has run in a fresh interpreter
-    that imports haarlab from this checkout."""
+def deferred_modules_after(code: str) -> list[str]:
+    """The scipy and concurrent.futures modules loaded once `code` has run
+    in a fresh interpreter that imports haarlab from this checkout."""
     script = textwrap.dedent(code) + textwrap.dedent("""
         import json, sys
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        roots = ("scipy", "concurrent")
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in roots)))
     """)
     env = os.environ | {"PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -40,7 +43,7 @@ def scipy_modules_after(code: str) -> list[str]:
 
 @pytest.mark.parametrize("module", ["haarlab", "haarlab.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == []
+    assert deferred_modules_after(f"import {module}") == []
 
 
 @pytest.fixture
@@ -83,11 +86,11 @@ def test_commands_without_shifts_load_no_scipy(files, command):
         for argv in {argvs!r}:
             assert main(argv) == 0, argv
     """
-    assert scipy_modules_after(code) == []
+    assert deferred_modules_after(code) == []
 
 
 def test_apply_loads_the_sparse_product_only():
-    loaded = scipy_modules_after("""
+    loaded = deferred_modules_after("""
         import numpy as np
         from haarlab import StepFunction, apply_shift, petermichl, random_doubling, svd_opnorm
         mu = random_doubling(5, seed=1)

@@ -8,8 +8,10 @@ imports are the package's re-exports.  One more check keeps the file
 formats in `io`: no other module defines JSON code, and only `io` and
 `cli` import a JSON library.  Another keeps the max-ratio fold in `opnorm`:
 no other module calls a norm's certified bound, and `norms` imports neither
-the synthesis nor the tie-break that scoring needs.  A last one keeps scipy
+the synthesis nor the tie-break that scoring needs.  Another keeps scipy
 off `import haarlab`: only `shift` imports it, and only inside a function.
+A last one keeps helper threads in one place: only `studies` imports the
+thread machinery, and only its `helpers` imports concurrent.futures.
 """
 
 import ast
@@ -344,24 +346,25 @@ def test_only_opnorm_scores_rows_against_a_maximum(path):
 SCIPY_IMPORTER = "shift.py"
 
 
-def scipy_imports(source: str) -> list[tuple[str, int, bool]]:
-    """(module, line, eager) for every import of scipy; an import is eager
-    where it runs when the module is imported, outside every function body."""
+def imports_of(source: str, roots: tuple[str, ...]) -> list[tuple[str, int, str | None]]:
+    """(module, line, function) for every import of a module under `roots`;
+    function is the name of the innermost function body the import is in,
+    or None where it runs when the module is imported."""
     found = []
 
-    def visit(node: ast.AST, eager: bool) -> None:
+    def visit(node: ast.AST, function: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             names = []
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom) and child.module and not child.level:
                 names = [child.module]
-            found.extend((name, child.lineno, eager) for name in names
-                         if name.split(".")[0] == "scipy")
-            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            visit(child, eager and not function)
+            found.extend((name, child.lineno, function) for name in names
+                         if name.split(".")[0] in roots)
+            function_body = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function_body else function)
 
-    visit(ast.parse(source), True)
+    visit(ast.parse(source), None)
     return found
 
 
@@ -370,15 +373,41 @@ def test_checker_flags_scipy_imports():
         "class A:\n    import scipy.sparse as sp\n    def f(self):\n" \
         "        import scipy.sparse as sp\ndef g():\n    from scipy import linalg\n" \
         "from .scipy import x\n"
-    assert scipy_imports(source) == [
-        ("scipy", 1, True), ("scipy.linalg", 3, True), ("scipy.sparse", 5, True),
-        ("scipy.sparse", 7, False), ("scipy", 9, False),
+    assert imports_of(source, ("scipy",)) == [
+        ("scipy", 1, None), ("scipy.linalg", 3, None), ("scipy.sparse", 5, None),
+        ("scipy.sparse", 7, "f"), ("scipy", 9, "g"),
     ]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_shift_imports_scipy_and_only_on_use(path):
-    found = scipy_imports(path.read_text())
+    found = imports_of(path.read_text(), ("scipy",))
     if path.name != SCIPY_IMPORTER:
         assert found == []
-    assert [(name, line) for name, line, eager in found if eager] == []
+    assert [(name, line) for name, line, function in found if function is None] == []
+
+
+# the one function that starts threads, `studies.helpers`, and the modules
+# that only its module may import: concurrent.futures loads logging, queue
+# and traceback, so it is imported inside `helpers` alone
+THREAD_OWNER = ("studies.py", "helpers")
+THREAD_MODULES = ("concurrent", "contextvars", "threading")
+
+
+def test_checker_flags_thread_imports():
+    source = "import contextvars, threading as th\nfrom concurrent.futures import Future\n" \
+        "def f():\n    from concurrent import futures\n    import queue\n"
+    assert imports_of(source, THREAD_MODULES) == [
+        ("contextvars", 1, None), ("threading", 1, None), ("concurrent.futures", 2, None),
+        ("concurrent", 4, "f"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_helpers_import_a_thread_pool(path):
+    found = imports_of(path.read_text(), THREAD_MODULES)
+    owner, function = THREAD_OWNER
+    if path.name != owner:
+        assert found == []
+    pools = {scope for name, _, scope in found if name.split(".")[0] == "concurrent"}
+    assert pools == ({function} if path.name == owner else set())

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import orjson
@@ -1078,6 +1079,53 @@ def test_cli_study_alpha_too_large_for_the_measures(capsys):
         haar_lambda2_norm(lebesgue(3), Node(2, 0), 400.0)
     # the other suites do not read alpha
     theorem_suite("BMOtoBMO", [{"kind": "lebesgue"}], [4], alpha=400.0, n_random=0)
+
+
+def test_cli_norm_alpha_too_large_for_the_measure(tmp_path, capsys):
+    # `norm` printed numpy's overflow warning and exited 2, "not finite
+    # (inf)", where `study` exits 3 on the same alpha
+    mu_path = _gen_measure(tmp_path, kind="lebesgue")
+    f_path = _save_function(tmp_path, mu_path)
+    report = tmp_path / "norm.json"
+    base = ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", "lambda",
+            "--out", str(report)]
+    capsys.readouterr()
+    for alpha in ("400", "300"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(base + ["--alpha", alpha]) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid norm parameters: alpha={alpha} is too large for this measure: "
+            f"mu(Q)**(-{alpha}.5) leaves the float64 range\n"
+        )
+        assert not report.exists()
+    # (1/16)**-250.5 = 2**1002 fits
+    assert main(base + ["--alpha", "250"]) == 0
+    assert np.isfinite(json.loads(report.read_text())["value"])
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    # a negative seed was written to a blowup CSV (exit 0), raised numpy's
+    # "expected non-negative integer" inside theorem and verify runs (exit
+    # 3), and exited 0 or 2 from `measure gen` depending on the family
+    out = tmp_path / "out"
+    runs = [
+        (["study", "blowup", "--family", "geometric_unbalanced", "--depths", "4:5"], 3),
+        (["study", "theorem", "--name", "BMOtoBMO", "--depths", "4:4"], 3),
+        (["verify", "--depth", "4", "--trials", "2"], 3),
+        (["measure", "gen", "--kind", "lebesgue", "--depth", "4"], 2),
+        (["measure", "gen", "--kind", "random_doubling", "--depth", "4"], 2),
+    ]
+    for argv, code in runs:
+        for seed in ("-1", "-2"):
+            assert main(argv + ["--seed", seed, "--out", str(out)]) == code, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --seed must be >= 0, got {seed}\n"
+            assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
 
 
 def test_cli_json_outputs_parse_with_orjson(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -330,6 +331,64 @@ def test_suite_maxima_helper_errors_reach_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="broken shift"):
         studies._suite_maxima(battery, mu, F, denoms.__getitem__, NormSpec("bmo"))
     assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+
+
+def test_helpers_return_results_and_raise_errors(monkeypatch):
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 1)
+    threads = []
+
+    def divide(a, b):
+        threads.append(threading.current_thread())
+        return a / b
+
+    with studies.helpers() as start:
+        waits = [start(divide, 1.0, b) for b in (4.0, 0.0, 2.0)]
+        assert waits[0]() == 0.25 and waits[2]() == 0.5
+        with pytest.raises(ZeroDivisionError):
+            waits[1]()
+    # one usable CPU still gets one helper, and only one
+    assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+
+
+def test_helpers_see_the_callers_errstate():
+    with np.errstate(over="raise", divide="ignore"):
+        with studies.helpers() as start:
+            state = start(np.geterr)
+            overflow = start(np.multiply, np.array([1e300]), 1e300)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                overflow()
+    assert state()["over"] == "raise" and state()["divide"] == "ignore"
+    assert np.geterr()["over"] != "raise"
+
+
+def test_helpers_start_no_thread_until_asked(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    with studies.helpers():
+        pass
+
+
+def test_helpers_end_before_the_block_exits():
+    """Also when the caller raises while a helper runs, and when it never
+    waits for a helper."""
+    entered = threading.Event()
+    done = []
+
+    def slow(tag):
+        done.append(threading.current_thread())
+        entered.set()
+        time.sleep(0.1)
+        done.append(tag)
+
+    with pytest.raises(RuntimeError, match="caller"):
+        with studies.helpers() as start:
+            start(slow, "raised")
+            assert entered.wait(timeout=10)
+            raise RuntimeError("caller")
+    assert done[-1] == "raised" and not done[0].is_alive()
+    done.clear()
+    with studies.helpers() as start:
+        start(slow, "unwaited")
+    assert done[-1] == "unwaited" and not done[0].is_alive()
 
 
 def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):

@@ -5,20 +5,21 @@ import threading
 import numpy as np
 import pytest
 
-from haarlab import verify
+from haarlab import studies, verify
 
 
-def _gram_threads(monkeypatch) -> list:
-    """The threads `_gram_deviations` runs on in `verify`, from now on."""
-    threads = []
+def _gram_calls(monkeypatch) -> list:
+    """The (thread, measures) of each call to `_gram_deviations` in
+    `verify`, from now on."""
+    calls = []
     gram_deviations = verify._gram_deviations
 
     def spy(measures):
-        threads.append(threading.current_thread())
+        calls.append((threading.current_thread(), measures))
         return gram_deviations(measures)
 
     monkeypatch.setattr(verify, "_gram_deviations", spy)
-    return threads
+    return calls
 
 
 def _folded_deviations(monkeypatch) -> list:
@@ -35,22 +36,32 @@ def _folded_deviations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("config", [(10, 100, 7), (6, 30, 3), (4, 10, 7)])
 def test_results_same_on_one_and_two_cpus(monkeypatch, config):
-    threads = _gram_threads(monkeypatch)
+    battery = verify._battery(*config)
+    measures = [mu for mu, _ in battery[: verify.GRAM_BUDGET]]
+    serial = verify._gram_deviations(measures)
+    # the basis checks of one serial pass, folded in measure order
+    basis = verify.check_basis(battery, lambda: serial)
+    calls = _gram_calls(monkeypatch)
     folded = _folded_deviations(monkeypatch)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    inline = verify.run_verification(*config)
-    assert set(threads) == {threading.main_thread()}
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    assert verify.run_verification(*config) == inline
-    assert len(set(threads)) == 2  # the deepest measures ran on the helper
-    assert all(r.passed for r in inline)
-    # both fold the deviations of one serial pass, in measure order
-    measures = [mu for mu, _ in verify._battery(*config)[: verify.GRAM_BUDGET]]
-    assert folded == [verify._gram_deviations(measures)] * 2
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        runs.append(verify.run_verification(*config))
+        # the deepest measures ran on a helper, at any CPU count, and the
+        # shallower ones here
+        deepest = max(mu.depth for mu in measures)
+        [lane] = [thread for thread, run in calls if run and run[0].depth == deepest]
+        assert lane is not threading.main_thread()
+        assert all(thread is threading.main_thread() for thread, _ in calls if thread is not lane)
+    assert runs[0] == runs[1]
+    assert runs[0][:4] == basis
+    assert all(r.passed for r in runs[0])
+    # both fold the deviations of one serial pass, in some order
+    assert [sorted(run) for run in folded] == [sorted(serial)] * 2
 
 
 def test_gram_lane_errors_reach_the_caller(monkeypatch):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     gram_deviations = verify._gram_deviations
     raised_on = []
 
@@ -80,11 +91,10 @@ def test_shared_battery_gives_each_check_fresh_generators():
 def test_gram_lane_calls_no_traced_function(monkeypatch, traced_calls):
     """Only the calling thread may run the functions the benchmark tracer
     wraps: run verify with the Gram lane on a helper thread."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    threads = _gram_threads(monkeypatch)
+    gram_calls = _gram_calls(monkeypatch)
     # through the module: the tracer rebinds haarlab's own names only
     calls = traced_calls(lambda: verify.run_verification(6, 30, 3))
-    assert len(set(threads)) == 2  # the deepest measures ran on the helper
+    assert len({thread for thread, _ in gram_calls}) == 2  # the lane ran on a helper
     assert {"verify.check_basis", "measure.balanced_constant"} <= {g for g, _ in calls}
     off_main = {group for group, thread in calls if thread is not threading.main_thread()}
     assert not off_main
