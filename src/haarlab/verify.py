@@ -43,9 +43,9 @@ class CheckResult:
 GRAM_BUDGET = 40
 
 
-def _battery(depth: int, trials: int, seed: int) -> list[tuple[MeasureTree, dict]]:
-    """Deterministic (measure, generator state) pairs at depths 2..depth;
-    `_fresh` hands each check its own generators in these states."""
+def _battery(depth: int, trials: int, seed: int) -> list[tuple[MeasureTree, np.random.Generator]]:
+    """Deterministic (measure, generator) pairs at depths 2..depth; each
+    generator has drawn its measure's depth and nothing else."""
     battery = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -53,16 +53,8 @@ def _battery(depth: int, trials: int, seed: int) -> list[tuple[MeasureTree, dict
         wide = t % 3 == 0  # every third measure is strongly lopsided
         p_lo, p_hi = (0.05, 0.95) if wide else (0.25, 0.75)
         mu = random_doubling(d, seed=seed * 100_003 + t, p_min=p_lo, p_max=p_hi)
-        battery.append((mu, rng.bit_generator.state))
+        battery.append((mu, rng))
     return battery
-
-
-def _fresh(battery: list[tuple[MeasureTree, dict]]):
-    """The battery's measures, each with a new generator in its stored state."""
-    for mu, state in battery:
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = state
-        yield mu, rng
 
 
 def _gram_deviations(measures: list[MeasureTree]) -> list[tuple[float, float]]:
@@ -87,16 +79,15 @@ def _gram_deviations(measures: list[MeasureTree]) -> list[tuple[float, float]]:
 
 
 def check_basis(
-    battery: list[tuple[MeasureTree, dict]],
+    pairs: list[tuple[MeasureTree, StepFunction]],
     gram_deviations: Callable[[], list[tuple[float, float]]],
 ) -> list[CheckResult]:
-    """Parseval and the round trip on every measure of the battery, then the
-    `_gram_deviations` of its first GRAM_BUDGET measures, which the call
+    """Parseval and the round trip on every (measure, function) pair, then
+    the `_gram_deviations` of the first GRAM_BUDGET measures, which the call
     `gram_deviations()` returns in any order: each is folded by a max over
     finite values, which the order does not change."""
     worst_gram = worst_pars = worst_round = worst_mean = 0.0
-    for mu, rng in _fresh(battery):
-        f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
+    for mu, f in pairs:
         spec = analyze(f, mu)
         l2sq = lp_norm(f, mu, 2.0) ** 2
         pars = spec.mean**2 * mu.total_mass + float(np.sum(spec.coeffs[1:] ** 2))
@@ -117,10 +108,10 @@ def check_basis(
     ]
 
 
-def check_sandwich(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
+def check_sandwich(pairs: list[tuple[MeasureTree, StepFunction]]) -> CheckResult:
     ok = True
     worst = ""
-    for mu, _ in battery:
+    for mu, _ in pairs:
         rep = mu.balanced_constant()
         root_b = np.sqrt(rep.balanced_constant)
         if not (root_b * (1 - 1e-12) <= rep.bal_form_constant <= 4 * root_b * (1 + 1e-12)):
@@ -130,10 +121,9 @@ def check_sandwich(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
     return CheckResult("balance_sandwich", ok, worst or "sqrt(B) <= form <= 4 sqrt(B)")
 
 
-def check_sibling(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
+def check_sibling(pairs: list[tuple[MeasureTree, StepFunction]]) -> CheckResult:
     count = 0
-    for mu, rng in _fresh(battery):
-        f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
+    for mu, f in pairs:
         slack = sibling_slacks(f, mu)
         bad = np.flatnonzero(~(slack[1:] >= 0.0))  # NaN is a violation too
         if bad.size:
@@ -147,10 +137,9 @@ def check_sibling(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
     return CheckResult("sibling_lemma", True, f"{count} trials, no violation")
 
 
-def check_square_function(battery: list[tuple[MeasureTree, dict]]) -> CheckResult:
+def check_square_function(pairs: list[tuple[MeasureTree, StepFunction]]) -> CheckResult:
     worst = 0.0
-    for mu, rng in _fresh(battery):
-        f = StepFunction(mu.depth, rng.standard_normal(1 << mu.depth))
+    for mu, f in pairs:
         a = square_function(f, mu).values
         b = square_function_martingale(f, mu).values
         scale = max(float(np.max(a)), 1e-300)
@@ -172,7 +161,7 @@ def check_petermichl_norm(depth: int, trials: int, seed: int) -> CheckResult:
 
 def check_lambda_closed_form(depth: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
-    for mu, rng in _fresh(_battery(min(depth, 7), max(trials // 10, 5), seed + 2)):
+    for mu, rng in _battery(min(depth, 7), max(trials // 10, 5), seed + 2):
         alpha = float(rng.uniform(0.0, 1.0))
         # one batch over the Haar functions, in heap order; each row gets
         # the value of its one-function lambda_norm
@@ -185,7 +174,7 @@ def check_lambda_closed_form(depth: int, trials: int, seed: int) -> CheckResult:
 
 def check_adjoint_pairing(depth: int, trials: int, seed: int) -> CheckResult:
     worst = 0.0
-    for mu, rng in _fresh(_battery(depth, max(trials // 10, 5), seed + 3)):
+    for mu, rng in _battery(depth, max(trials // 10, 5), seed + 3):
         T = petermichl(mu.depth)
         Tadj = T.adjoint()
         n = 1 << mu.depth
@@ -217,8 +206,9 @@ def check_theorem_suites(depth: int, seed: int) -> CheckResult:
 
 
 def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[CheckResult]:
-    """Every check, on one `_battery(depth, trials, seed)` for the basis,
-    sandwich, sibling and square-function checks.
+    """Every check; the basis, sandwich, sibling and square-function checks
+    share the measures of one `_battery(depth, trials, seed)`, each with one
+    function, the first standard-normal draw of its generator.
 
     The Gram lane: the dense Gram products of the deepest of the first
     GRAM_BUDGET measures run one at a time on a helper thread, at any CPU
@@ -228,20 +218,23 @@ def run_verification(depth: int = 8, trials: int = 100, seed: int = 7) -> list[C
         raise ValueError(f"verification needs depth >= 2, got {depth}")
     if trials < 1:
         raise ValueError(f"verification needs trials >= 1, got {trials}")
-    battery = _battery(depth, trials, seed)
-    measures = [mu for mu, _ in battery[:GRAM_BUDGET]]
+    pairs = [
+        (mu, StepFunction(mu.depth, rng.standard_normal(1 << mu.depth)))
+        for mu, rng in _battery(depth, trials, seed)
+    ]
+    measures = [mu for mu, _ in pairs[:GRAM_BUDGET]]
     deepest = max(mu.depth for mu in measures)
     shallow = [mu for mu in measures if mu.depth < deepest]
     with helpers() as start:
         lane = start(_gram_deviations, [mu for mu in measures if mu.depth == deepest])
         others = [
-            check_sandwich(battery),
-            check_sibling(battery),
-            check_square_function(battery),
+            check_sandwich(pairs),
+            check_sibling(pairs),
+            check_square_function(pairs),
             check_petermichl_norm(depth, trials, seed),
             check_lambda_closed_form(depth, trials, seed),
             check_adjoint_pairing(depth, trials, seed),
             check_theorem_suites(depth, seed),
         ]
-        basis = check_basis(battery, lambda: _gram_deviations(shallow) + lane())
+        basis = check_basis(pairs, lambda: _gram_deviations(shallow) + lane())
     return basis + others

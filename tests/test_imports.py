@@ -10,8 +10,10 @@ formats in `io`: no other module defines JSON code, and only `io` and
 no other module calls a norm's certified bound, and `norms` imports neither
 the synthesis nor the tie-break that scoring needs.  Another keeps scipy
 off `import haarlab`: only `shift` imports it, and only inside a function.
-A last one keeps helper threads in one place: only `studies` imports the
-thread machinery, and only its `helpers` imports concurrent.futures.
+Another keeps helper threads in one place: only `studies` imports the
+thread machinery, and only its `helpers` imports concurrent.futures.  A
+last one keeps one failure boundary in the CLI: in `cli`, only `main`
+handles the input-file error `FormatError`.
 """
 
 import ast
@@ -411,3 +413,47 @@ def test_only_helpers_import_a_thread_pool(path):
         assert found == []
     pools = {scope for name, _, scope in found if name.split(".")[0] == "concurrent"}
     assert pools == ({function} if path.name == owner else set())
+
+
+# the one function of `cli` that turns an unreadable input file into its
+# exit code: a handler elsewhere would repeat that rule
+FORMAT_ERROR_HANDLER = ("cli.py", "main")
+
+
+def format_error_handlers(source: str) -> list[tuple[int, str | None]]:
+    """(line, function) for every `except` clause whose exception names
+    FormatError, bare or as an attribute; function is the name of the
+    innermost function body the clause is in, or None."""
+    found = []
+
+    def names_format_error(expr: ast.AST | None) -> bool:
+        return expr is not None and any(
+            (isinstance(n, ast.Name) and n.id == "FormatError")
+            or (isinstance(n, ast.Attribute) and n.attr == "FormatError")
+            for n in ast.walk(expr)
+        )
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and names_format_error(child.type):
+                found.append((child.lineno, function))
+            function_body = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function_body else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_flags_format_error_handlers():
+    source = "try:\n    pass\nexcept hio.FormatError:\n    pass\n" \
+        "def f():\n    try:\n        pass\n    except (ValueError, FormatError) as e:\n" \
+        "        pass\n    except ValueError:\n        pass\n" \
+        "class A:\n    def g(self):\n        try:\n            pass\n        except:\n" \
+        "            pass\n        except io.FormatErrorish:\n            pass\n"
+    assert format_error_handlers(source) == [(3, None), (8, "f")]
+
+
+def test_only_main_handles_format_errors():
+    path, function = FORMAT_ERROR_HANDLER
+    found = format_error_handlers((SRC / path).read_text())
+    assert [scope for _, scope in found] == [function]

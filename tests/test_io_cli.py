@@ -918,6 +918,44 @@ def test_cli_bad_shift_files_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# every command that reads a file, with the file each reads: (command, role)
+FILE_READERS = [
+    ("inspect", "measure"),
+    ("norm", "measure"),
+    ("norm", "function"),
+    ("apply", "measure"),
+    ("apply", "function"),
+    ("apply", "shift"),
+]
+
+
+@pytest.mark.parametrize("content", ['{"depth": 3', "[]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("command, role", FILE_READERS)
+def test_cli_malformed_input_file_exits_2(tmp_path, capsys, command, role, content):
+    files = {"measure": _gen_measure(tmp_path, depth=3)}
+    files["function"] = _save_function(tmp_path, files["measure"])
+    files["shift"] = tmp_path / "T.json"
+    files["shift"].write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    files[role] = tmp_path / "bad.json"
+    files[role].write_text(content)
+    out = tmp_path / "Tf.json"
+    argv = {
+        "inspect": ["measure", "inspect", str(files["measure"])],
+        "norm": ["norm", "--function", str(files["function"]),
+                 "--measure", str(files["measure"]), "--norm", "bmo"],
+        "apply": ["apply", "--shift", str(files["shift"]), "--function", str(files["function"]),
+                  "--measure", str(files["measure"]), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_refuses_non_finite_results(tmp_path, capsys):
     mu_path = _gen_measure(tmp_path)
     big = tmp_path / "big.json"
@@ -941,8 +979,33 @@ def test_cli_refuses_non_finite_results(tmp_path, capsys):
             ["norm", "--function", str(big), "--measure", str(mu_path), "--norm", norm,
              "--out", str(report)]
         ) == 2, norm
-        assert f"error: the {norm} norm of this input is not finite" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: the {norm} norm of this input is not finite"), norm
     assert not report.exists()
+    # the weak-L1 norm of this input is finite, and its report is written
+    assert main(
+        ["norm", "--function", str(big), "--measure", str(mu_path), "--norm", "weak-l1"]
+    ) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and 1.5e308 <= json.loads(captured.out)["value"] < np.inf
+    # on a lebesgue measure the finest-level coefficients overflow too; they
+    # feed only leaf-level terms, which the Petermichl shift drops, so the
+    # image is exactly zero
+    (tmp_path / "leb").mkdir()
+    leb_path = _gen_measure(tmp_path / "leb", kind="lebesgue")
+    capsys.readouterr()
+    assert main(
+        ["apply", "--shift", str(shift_path), "--function", str(big),
+         "--measure", str(leb_path), "--out", str(out)]
+    ) == 0
+    assert capsys.readouterr().err == ""
+    assert not np.any(hio.load_function(out).values)
+    for norm in ("lp", "bmo-osc", "lambda", "h1", "atb-upper"):
+        assert main(
+            ["norm", "--function", str(big), "--measure", str(leb_path), "--norm", norm]
+        ) == 2, norm
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: the {norm} norm of this input is not finite"), norm
     # atb-upper takes no parameters: a root mean that is not zero, here a
     # finite -7.5e307, is a fault of the function, not of the flags
     hio.save_function(StepFunction(4, np.array([1.5e308, -1.5e308, -1.5e308, -1.5e308] * 4)), big)

@@ -254,12 +254,16 @@ def test_check_sibling_names_the_first_bad_node(monkeypatch):
         return slack
 
     monkeypatch.setattr(verify, "sibling_slacks", two_violations)
-    res = verify.check_sibling(verify._battery(6, 5, 7))
+    pairs = [
+        (mu, StepFunction(mu.depth, rng.standard_normal(1 << mu.depth)))
+        for mu, rng in verify._battery(6, 5, 7)
+    ]
+    res = verify.check_sibling(pairs)
     assert not res.passed
     assert res.detail == "violated at 1,0, slack -5.000e-01"
     # a NaN slack is a violation too
     monkeypatch.setattr(verify, "sibling_slacks", lambda f, mu: np.full(1 << mu.depth, np.nan))
-    assert verify.check_sibling(verify._battery(6, 5, 7)).detail == "violated at 0,0, slack nan"
+    assert verify.check_sibling(pairs).detail == "violated at 0,0, slack nan"
 
 
 def test_inner_product_symmetric(mu):

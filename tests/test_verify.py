@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 from haarlab import studies, verify
+from haarlab.martingale import StepFunction
+
+
+def _pairs(depth: int, trials: int, seed: int) -> list:
+    """The (measure, function) pairs `run_verification` hands its basis,
+    sandwich, sibling and square-function checks."""
+    return [
+        (mu, StepFunction(mu.depth, rng.standard_normal(1 << mu.depth)))
+        for mu, rng in verify._battery(depth, trials, seed)
+    ]
 
 
 def _gram_calls(monkeypatch) -> list:
@@ -27,8 +37,8 @@ def _folded_deviations(monkeypatch) -> list:
     folded = []
     check_basis = verify.check_basis
 
-    def spy(battery, gram_deviations):
-        return check_basis(battery, lambda: folded.append(gram_deviations()) or folded[-1])
+    def spy(pairs, gram_deviations):
+        return check_basis(pairs, lambda: folded.append(gram_deviations()) or folded[-1])
 
     monkeypatch.setattr(verify, "check_basis", spy)
     return folded
@@ -36,11 +46,11 @@ def _folded_deviations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("config", [(10, 100, 7), (6, 30, 3), (4, 10, 7)])
 def test_results_same_on_one_and_two_cpus(monkeypatch, config):
-    battery = verify._battery(*config)
-    measures = [mu for mu, _ in battery[: verify.GRAM_BUDGET]]
+    pairs = _pairs(*config)
+    measures = [mu for mu, _ in pairs[: verify.GRAM_BUDGET]]
     serial = verify._gram_deviations(measures)
     # the basis checks of one serial pass, folded in measure order
-    basis = verify.check_basis(battery, lambda: serial)
+    basis = verify.check_basis(pairs, lambda: serial)
     calls = _gram_calls(monkeypatch)
     folded = _folded_deviations(monkeypatch)
     runs = []
@@ -77,15 +87,22 @@ def test_gram_lane_errors_reach_the_caller(monkeypatch):
     assert len(raised_on) == 1
 
 
-def test_shared_battery_gives_each_check_fresh_generators():
-    battery = verify._battery(5, 6, 3)
-    first = [rng.standard_normal(4).tolist() for _, rng in verify._fresh(battery)]
-    again = [rng.standard_normal(4).tolist() for _, rng in verify._fresh(battery)]
-    assert first == again
-    # the state after the depth draw, as each check drew it from its own battery
-    rng = np.random.default_rng([3, 2])
-    rng.integers(2, 6)
-    assert first[2] == rng.standard_normal(4).tolist()
+def test_shared_battery_draws_each_function_once(monkeypatch):
+    handed = []
+    for name in ("check_basis", "check_sandwich", "check_sibling", "check_square_function"):
+        check = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda pairs, *rest, check=check: handed.append(pairs) or check(pairs, *rest)
+        )
+    verify.run_verification(5, 6, 3)
+    pairs = handed[0]
+    assert len(handed) == 4 and all(h is pairs for h in handed)
+    # measure t's function is the first standard-normal draw after its depth draw
+    assert len(pairs) == 6
+    for t, (mu, f) in enumerate(pairs):
+        rng = np.random.default_rng([3, t])
+        assert mu.depth == rng.integers(2, 6)
+        assert f.values.tolist() == rng.standard_normal(1 << mu.depth).tolist()
 
 
 def test_gram_lane_calls_no_traced_function(monkeypatch, traced_calls):
