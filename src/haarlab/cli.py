@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 parameter error.  Every run with an --out target also writes
-<out>.manifest.json echoing the resolved configuration (the manifest is
-the only place a timestamp appears, so payload outputs are repeatable
-byte for byte).
+Exit codes: 0 success, 1 verification failure, 2 input error (an --out
+file that cannot be written included), 3 parameter error.  Every run with
+an --out target also writes <out>.manifest.json echoing the resolved
+configuration (the manifest is the only place a timestamp appears, so
+payload outputs are repeatable byte for byte).
 """
 
 from __future__ import annotations
@@ -333,6 +333,9 @@ def main(argv=None) -> int:
         return exc.code
     except hio.FormatError as exc:  # a malformed or unreadable input file, here only
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # reads raise FormatError, so this is a write: an --out file
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -58,9 +58,20 @@ def lp_rows(F: np.ndarray, mu: MeasureTree, p: float) -> np.ndarray:
     sums = np.add.reduce(np.abs(F) ** p * mu.leaf_masses, axis=-1)
     # the root is a scalar pow per row: numpy's array pow rounds differently
     # from its scalar pow in the last bit on a few percent of inputs
-    if sums.ndim:
-        return np.array([s ** (1.0 / p) for s in sums])
-    return sums ** (1.0 / p)
+    roots = np.array([s ** (1.0 / p) for s in sums]) if sums.ndim else sums ** (1.0 / p)
+    low = sums < np.finfo(float).tiny
+    if np.any(low):
+        # |f|^p fell below the normal range, to 0.0 for a large p: such a
+        # row is M (sum (|f|/M)^p mu)^(1/p) with M = max |f|, and 0 if M is
+        absF = np.abs(F[low])
+        M = np.maximum.reduce(absF, axis=-1)
+        ratios = np.divide(absF, M[:, None], out=np.zeros_like(absF), where=M[:, None] > 0)
+        scaled = np.add.reduce(ratios**p * mu.leaf_masses, axis=-1)
+        fixed = [m * s ** (1.0 / p) for m, s in zip(M, scaled)]
+        if not sums.ndim:
+            return fixed[0]
+        roots[low] = fixed
+    return roots
 
 
 def lp_norm(f: StepFunction, mu: MeasureTree, p: float) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .atomic import AtomicBlock, haar_block, random_block, validate_block
+from .atomic import haar_block
 from .martingale import haar_function, row_chunks
 from .measure import MeasureTree, generate
 from .norms import NormSpec, check_lambda_range, haar_lambda2_norm, lambda_norm
@@ -101,9 +101,10 @@ def blowup_study(
 # --- theorem suites ------------------------------------------------------
 
 # The one table of boundedness suites: name -> (source norm, target norm).
-# A source of None means the inputs are atomic blocks and the denominator is
-# the block cost (the H1 suites).  The suite's alpha parametrises the norms
-# of the pair that take it; the Lambda exponent q stays NormSpec's 2.
+# A source of None means the inputs are atomic blocks, the Haar blocks of
+# `block_battery`, and the denominator is the block cost (the H1 suites).
+# The suite's alpha parametrises the norms of the pair that take it; the
+# Lambda exponent q stays NormSpec's 2.
 SUITES: dict[str, tuple[NormSpec | None, NormSpec]] = {
     "LInfBMO": (NormSpec("lp", p=np.inf), NormSpec("bmo")),
     "BMOtoBMO": (NormSpec("bmo"), NormSpec("bmo")),
@@ -132,9 +133,8 @@ def default_shift_battery(depth: int) -> dict[str, GeneralShift]:
     return battery
 
 
-# deep nodes sampled per probe or block battery, and random blocks per battery
+# deep nodes sampled per probe or block battery
 DEEP_NODE_SAMPLE = 48
-N_RANDOM_BLOCKS = 10
 
 
 def _sampled_nodes(mu: MeasureTree, rng: np.random.Generator) -> np.ndarray:
@@ -166,21 +166,20 @@ def probe_battery(mu: MeasureTree, seed: int, n_random: int = 12) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def block_battery(mu: MeasureTree, seed: int) -> list[AtomicBlock]:
-    """Canonical Haar blocks plus random validated multi-subatom blocks."""
+def block_battery(mu: MeasureTree, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The H1 suites' inputs as (rows, costs): the function and the cost of
+    `haar_block(mu, I)` for each sampled internal node I.  A block that
+    combines Haar blocks (`atomic.random_block`) adds nothing: both H1
+    targets are norms, so its ratio is at most the largest ratio of the
+    Haar blocks of its own nodes."""
     rng = np.random.default_rng([seed, mu.depth, 7])
     blocks = [
         haar_block(mu, mu.tree.node_at(int(p)))
         for p in _sampled_nodes(mu, rng)
         if p < 1 << mu.depth
     ]
-    for t in range(N_RANDOM_BLOCKS):
-        trng = np.random.default_rng([seed, mu.depth, 7, t])
-        base = int(trng.integers(0, mu.depth))
-        b = random_block(mu, base, int(trng.integers(2, 6)), trng)
-        if validate_block(b, mu).valid:
-            blocks.append(b)
-    return blocks
+    rows = np.stack([b.function(mu.depth).values for b in blocks])
+    return rows, np.array([b.cost for b in blocks])
 
 
 def _usable_cpus() -> int:
@@ -256,8 +255,8 @@ def theorem_suite(
 
     Every suite accepts both knobs, but only TheoremB reads `alpha` (the
     Lipschitz order of its Lambda_2 norms), and only the probe suites
-    (LInfBMO, BMOtoBMO, TheoremB) read `n_random`; the H1 suites take
-    atomic blocks."""
+    (LInfBMO, BMOtoBMO, TheoremB) read `n_random`; the H1 suites take the
+    Haar blocks of the sampled internal nodes (`block_battery`)."""
     if name not in SUITES:
         raise ValueError(f"unknown theorem suite {name!r}; choose from {THEOREM_NAMES}")
     if n_random < 0:
@@ -274,10 +273,8 @@ def theorem_suite(
             for spec in lipschitz:
                 check_lambda_range(mu, spec.q, spec.alpha)
             if source is None:
-                blocks = block_battery(mu, seed)
-                inputs = np.stack([b.function(depth).values for b in blocks])
-                costs = np.array([b.cost for b in blocks])
-                denoms_of = lambda s: costs[s]
+                inputs, costs = block_battery(mu, seed)
+                denoms_of = costs.__getitem__
             else:
                 inputs = probe_battery(mu, seed, n_random=n_random)
                 denoms_of = lambda s: source.evaluate_rows(inputs[s], mu)

@@ -678,6 +678,17 @@ def test_cli_norm_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_cli_lp_norm_of_an_underflowing_power(tmp_path, capsys):
+    # 0.5^2000 underflows to 0, but the L^2000 norm of 0.5 on lebesgue is 0.5
+    mu_path = _gen_measure(tmp_path, kind="lebesgue")
+    f_path = tmp_path / "half.json"
+    hio.save_function(StepFunction(4, np.full(16, 0.5)), f_path)
+    capsys.readouterr()
+    argv = ["norm", "--function", str(f_path), "--measure", str(mu_path), "--norm", "lp"]
+    assert main(argv + ["--p", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.5
+
+
 # --norm choice -> (extra flags, reported params, direct evaluation)
 DIRECT_NORMS = {
     "lp": ([], {"p": 2.0}, lambda f, mu: lp_norm(f, mu, 2.0)),
@@ -953,6 +964,35 @@ def test_cli_malformed_input_file_exits_2(tmp_path, capsys, command, role, conte
     [line] = captured.err.splitlines()
     assert line.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["norm", "apply", "measure gen", "study theorem", "study blowup", "verify"]
+)
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, command):
+    # an --out file in a missing directory is an input error on one line,
+    # and nothing is written
+    mu_path = _gen_measure(tmp_path, depth=3)
+    f_path = _save_function(tmp_path, mu_path)
+    shift_path = tmp_path / "T.json"
+    shift_path.write_text(json.dumps({"kind": "petermichl"}) + "\n")
+    missing = tmp_path / "missing"
+    files = {"--measure": str(mu_path), "--function": str(f_path)}
+    argv = {
+        "norm": ["norm", "--norm", "bmo"],
+        "apply": ["apply", "--shift", str(shift_path)],
+        "measure gen": ["measure", "gen", "--kind", "lebesgue", "--depth", "3"],
+        "study theorem": ["study", "theorem", "--name", "H1L1", "--depths", "3:3"],
+        "study blowup": ["study", "blowup", "--depths", "3:3"],
+        "verify": ["verify", "--depth", "3", "--trials", "2"],
+    }[command]
+    if command in ("norm", "apply"):
+        argv += [arg for item in files.items() for arg in item]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(missing / "x")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write ")
+    assert not missing.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

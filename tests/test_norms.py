@@ -63,6 +63,24 @@ def test_lp_norm_lebesgue():
         lp_norm(f, mu, np.nan)
 
 
+@pytest.mark.parametrize("p", [2000.0, 1e6])
+def test_lp_norm_survives_underflow(mu, p):
+    # |c|^p underflows to 0 at these p, but the norm of a constant c is
+    # c mu(root)^(1/p)
+    heavy = MeasureTree(DyadicTree(4), np.arange(1.0, 17.0))
+    for measure in (lebesgue(4), mu, heavy):
+        for c in (0.5, 1e-3, 0.999):
+            f = StepFunction(4, np.full(16, c))
+            expected = c * measure.total_mass ** (1.0 / p)
+            assert lp_norm(f, measure, p) == pytest.approx(expected, rel=1e-12)
+        # a batch rescales only its underflowing rows; a zero row stays 0
+        F = np.stack([np.full(16, 0.5), np.zeros(16), np.linspace(0.5, 1.0, 16)])
+        rows = lp_rows(F, measure, p)
+        assert rows[1] == 0.0
+        assert rows[0] == pytest.approx(0.5 * measure.total_mass ** (1.0 / p), rel=1e-12)
+        assert rows[2] == lp_norm(StepFunction(4, F[2]), measure, p)
+
+
 def test_lp_norm_interpolates(mu):
     f = _rand_f(mu, 1)
     total = mu.total_mass

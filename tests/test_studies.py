@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from haarlab import martingale, studies
+from haarlab.atomic import haar_block, random_block, validate_block
 from haarlab.martingale import analyze, synthesize_rows
 from haarlab.measure import GENERATORS, MeasureError, generate, geometric_unbalanced, lebesgue
 from haarlab.norms import NormSpec, haar_lambda2_norm
@@ -128,6 +129,68 @@ def test_rows_to_csv_canonical():
     assert np.isfinite(value)
 
 
+def _battery_nodes(mu, seed):
+    # the sampled internal nodes, drawn as `block_battery` draws them
+    positions = studies._sampled_nodes(mu, np.random.default_rng([seed, mu.depth, 7]))
+    return [mu.tree.node_at(int(p)) for p in positions if p < 1 << mu.depth]
+
+
+def _random_block_rows(mu, seed):
+    # the (rows, costs) of the validated random blocks that `block_battery`
+    # appended after its Haar blocks until it returned Haar blocks only,
+    # drawn as it drew them
+    blocks = []
+    for t in range(10):
+        trng = np.random.default_rng([seed, mu.depth, 7, t])
+        base = int(trng.integers(0, mu.depth))
+        b = random_block(mu, base, int(trng.integers(2, 6)), trng)
+        if validate_block(b, mu).valid:
+            blocks.append(b)
+    rows = np.stack([b.function(mu.depth).values for b in blocks])
+    return rows, np.array([b.cost for b in blocks])
+
+
+def _block_rows_with_random_blocks(mu, seed):
+    # the block inputs the H1 suites had when they took random blocks too
+    (rows, costs), (extra, extra_costs) = block_battery(mu, seed), _random_block_rows(mu, seed)
+    return np.concatenate([rows, extra]), np.concatenate([costs, extra_costs])
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_block_battery_is_the_haar_blocks_of_the_sampled_nodes(kind):
+    for depth in range(2, 9):
+        for seed in (0, 5):
+            mu = generate(kind, depth, seed=seed)
+            rows, costs = block_battery(mu, seed)
+            blocks = [haar_block(mu, node) for node in _battery_nodes(mu, seed)]
+            assert np.array_equal(rows, np.stack([b.function(depth).values for b in blocks]))
+            assert np.array_equal(costs, [b.cost for b in blocks])
+            if depth <= 6:
+                for b, cost in zip(blocks, costs):
+                    report = validate_block(b, mu)
+                    assert report.valid and report.cost == cost, (depth, seed, b.subatoms[0].node)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_random_blocks_are_dominated_by_haar_blocks(kind):
+    """A random block is a signed sum of Haar blocks whose cost is at least
+    the sum of theirs, so neither H1 target gives it a larger ratio than
+    the largest Haar-block ratio: the H1 suites lose nothing without them.
+    At D <= 5 every internal node is sampled, so the battery holds the
+    Haar block of every node of every random block."""
+    for depth in (3, 4, 5):
+        battery = default_shift_battery(depth)
+        for seed in range(4):
+            mu = generate(kind, depth, seed=seed)
+            haar, haar_costs = block_battery(mu, seed)
+            rows, costs = _random_block_rows(mu, seed)
+            for target in (SUITES["H1L1"][1], SUITES["H1H1"][1]):
+                best = studies._suite_maxima(battery, mu, haar, haar_costs.__getitem__, target)
+                rand = studies._suite_maxima(battery, mu, rows, costs.__getitem__, target)
+                for name in battery:
+                    assert rand[name] <= best[name] * (1.0 + 1e-15), (depth, seed, name, target)
+
+
 # the targets with a certified upper bound, at Lambda parameters the suites
 # do not use
 BOUNDED_TARGETS = [NormSpec("lambda", q=3.0, alpha=2.0), NormSpec("lambda", q=1.0, alpha=0.5)]
@@ -158,7 +221,7 @@ def test_suite_maxima_match_sequential_reference(kind, monkeypatch):
     battery = default_shift_battery(depth)
     probes = list(probe_battery(mu, 3, n_random=2))
     nodes, randoms = probes[:-4], probes[-4:]
-    blocks = [b.function(depth).values for b in block_battery(mu, 3)]
+    blocks = list(_block_rows_with_random_blocks(mu, 3)[0])
     n = 1 << depth
     hard = [
         np.zeros(n),  # zero images, bound 0
@@ -397,9 +460,7 @@ def test_suite_maxima_skip_images_only_under_a_bound(monkeypatch):
     mu = generate("random_doubling", 8, seed=0)
     battery = default_shift_battery(8)
     probes = probe_battery(mu, 0, n_random=6)
-    blocks = block_battery(mu, 0)
-    block_rows = np.stack([b.function(8).values for b in blocks])
-    block_costs = np.array([b.cost for b in blocks])
+    block_rows, block_costs = _block_rows_with_random_blocks(mu, 0)
     evaluated = []
     evaluate_rows = NormSpec.evaluate_rows
 
